@@ -316,12 +316,15 @@ def _greedy_tokens(params, model_config, spec, vocab) -> codec.TokenSequence:
     return ctc.collapse(ctc.greedy_decode(grid), vocab)
 
 
-def _validation_rates(params, model_config, vocab, samples) -> tuple[float, float]:
+def _validation_rates(params, model_config, vocab, samples, batch_size) -> tuple[float, float]:
     wer_stats, cer_stats = [], []
-    for _, spec, target in samples:
-        hyp = _greedy_tokens(params, model_config, spec, vocab)
-        wer_stats.append(metrics.wer(target, hyp))
-        cer_stats.append(metrics.cer(target, hyp))
+    for start in range(0, len(samples), batch_size):
+        batch = samples[start : start + batch_size]
+        grids = net.forward(params, model_config, [spec for _, spec, _ in batch], mode="eval")
+        for (_, _, target), grid in zip(batch, grids):
+            hyp = ctc.collapse(ctc.greedy_decode(grid), vocab)
+            wer_stats.append(metrics.wer(target, hyp))
+            cer_stats.append(metrics.cer(target, hyp))
     return metrics.corpus_rate(wer_stats), metrics.corpus_rate(cer_stats)
 
 
@@ -371,41 +374,32 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
             losses = []
             skipped = 0
             for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
-                grads_sum: dict[str, np.ndarray] = {}
+                batch = [train_samples[j] for j in order[start : start + config.batch_size]]
+                seeds = [_subseed(config.seed, "dropout", epoch, sample_id) for sample_id, _, _ in batch]
+                grids, cache = net.forward(
+                    params, model_config, [spec for _, spec, _ in batch], mode="train", rng_seed=seeds
+                )
+                grad_logits = []
                 moments = []
-                contributed = 0
-                for j in batch:
-                    sample_id, spec, target = train_samples[j]
-                    grid, cache = net.forward(
-                        params,
-                        model_config,
-                        spec,
-                        mode="train",
-                        rng_seed=_subseed(config.seed, "dropout", epoch, sample_id),
-                    )
+                for (sample_id, _, target), grid, clip_moments in zip(batch, grids, cache.bn_moments):
                     try:
                         loss, lattice = ctc.ctc_loss(grid, target)
                     except ctc.InfeasibleLength as exc:
                         skipped += 1
                         _diag(f"train: skipping {sample_id} in epoch {epoch}: {exc}")
+                        grad_logits.append(np.zeros_like(grid.probs))
                         continue
-                    grad_logits = ctc.ctc_grad(lattice, grid, target)
-                    grads = net.backward(cache, grad_logits)
-                    for name, g in grads.items():
-                        if name in grads_sum:
-                            grads_sum[name] += g
-                        else:
-                            grads_sum[name] = g.copy()
-                    moments.append(cache.bn_moments)
+                    grad_logits.append(ctc.ctc_grad(lattice, grid, target))
+                    moments.append(clip_moments)
                     losses.append(loss)
-                    contributed += 1
-                if not contributed:
+                if not moments:
                     continue
                 # batch gradient is the sum over samples, not the mean
-                net.sgd_nesterov_step(params, grads_sum, velocity, lr)
+                net.sgd_nesterov_step(params, net.backward(cache, grad_logits), velocity, lr)
                 net.update_batchnorm_stats(params, net.average_moments(moments))
-            val_wer, val_cer = _validation_rates(params, model_config, vocab, val_samples)
+            val_wer, val_cer = _validation_rates(
+                params, model_config, vocab, val_samples, config.batch_size
+            )
             mean_loss = float(np.mean(losses)) if losses else float("nan")
             line = (
                 f"epoch {epoch} lr {lr:.6e} loss {mean_loss:.6f} "

@@ -9,7 +9,10 @@ final linear projection with row softmax yields per-frame symbol posteriors.
 Batch normalization always normalizes with the stored running statistics (the
 desk-scale batches are too small for batch statistics); the training loop
 updates those statistics explicitly via :func:`update_batchnorm_stats`, so the
-forward pass stays a pure function of (params, input, seed).
+forward pass stays a pure function of (params, input, seed). That also makes a
+batch of clips, right-padded to the longest, compute what each clip computes
+alone. Everything runs in the parameter dtype: :func:`backward` casts the
+incoming loss gradient to it.
 """
 from __future__ import annotations
 
@@ -118,24 +121,20 @@ def _uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Seeded initialization: uniform +-1/sqrt(fan_in), forget-gate bias 1.
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor the configuration implies, in checkpoint order.
 
     LSTM gate blocks are laid out [input, forget, output, candidate] within
     the 4H axis; the checkpoint format fixes this layout.
     """
-    rng = np.random.default_rng(seed)
-    t: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     c = config.conv_filters
     k = config.conv_kernel
     in_ch = 1
     for i in range(config.conv_layers):
-        t[f"conv{i}_w"] = _uniform(rng, (c, in_ch, k, k), in_ch * k * k, dtype)
-        t[f"conv{i}_b"] = np.zeros(c, dtype=dtype)
-        t[f"bn{i}_gamma"] = np.ones(c, dtype=dtype)
-        t[f"bn{i}_beta"] = np.zeros(c, dtype=dtype)
-        t[f"bn{i}_mean"] = np.zeros(c, dtype=dtype)
-        t[f"bn{i}_var"] = np.ones(c, dtype=dtype)
+        shapes[f"conv{i}_w"] = (c, in_ch, k, k)
+        for name in (f"conv{i}_b", f"bn{i}_gamma", f"bn{i}_beta", f"bn{i}_mean", f"bn{i}_var"):
+            shapes[name] = (c,)
         in_ch = c
     h = config.hidden_units
     feat = config.frame_features()
@@ -145,25 +144,40 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
         feat //= 2
     for l in range(config.recurrent_layers):
         for direction in ("fwd", "bwd"):
-            t[f"rnn{l}_{direction}_wx"] = _uniform(rng, (feat, 4 * h), feat, dtype)
-            t[f"rnn{l}_{direction}_wh"] = _uniform(rng, (h, 4 * h), h, dtype)
-            bias = np.zeros(4 * h, dtype=dtype)
-            bias[h : 2 * h] = 1.0
-            t[f"rnn{l}_{direction}_b"] = bias
+            shapes[f"rnn{l}_{direction}_wx"] = (feat, 4 * h)
+            shapes[f"rnn{l}_{direction}_wh"] = (h, 4 * h)
+            shapes[f"rnn{l}_{direction}_b"] = (4 * h,)
         if l < config.recurrent_layers - 1:
-            t[f"rbn{l}_gamma"] = np.ones(2 * h, dtype=dtype)
-            t[f"rbn{l}_beta"] = np.zeros(2 * h, dtype=dtype)
-            t[f"rbn{l}_mean"] = np.zeros(2 * h, dtype=dtype)
-            t[f"rbn{l}_var"] = np.ones(2 * h, dtype=dtype)
+            for stat in ("gamma", "beta", "mean", "var"):
+                shapes[f"rbn{l}_{stat}"] = (2 * h,)
         feat = 2 * h
-    t["out_w"] = _uniform(rng, (2 * h, config.vocab_size), 2 * h, dtype)
-    t["out_b"] = np.zeros(config.vocab_size, dtype=dtype)
-    trainable = tuple(n for n in t if not (n.endswith("_mean") or n.endswith("_var")))
-    return ModelParams(tensors=t, trainable=trainable)
+    shapes["out_w"] = (2 * h, config.vocab_size)
+    shapes["out_b"] = (config.vocab_size,)
+    return shapes
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+def _trainable(names) -> tuple[str, ...]:
+    return tuple(n for n in names if not (n.endswith("_mean") or n.endswith("_var")))
+
+
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Seeded initialization: uniform +-1/sqrt(fan_in), forget-gate bias 1."""
+    rng = np.random.default_rng(seed)
+    h = config.hidden_units
+    t: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        kind = name.rsplit("_", 1)[1]
+        if kind in ("w", "wx", "wh"):
+            # conv kernels are (out, in, k, k); dense weights are (in, out)
+            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            t[name] = _uniform(rng, shape, fan_in, dtype)
+        elif kind in ("gamma", "var"):
+            t[name] = np.ones(shape, dtype=dtype)
+        else:
+            t[name] = np.zeros(shape, dtype=dtype)
+            if name.startswith("rnn"):
+                t[name][h : 2 * h] = 1.0  # forget-gate block of an LSTM bias
+    return ModelParams(tensors=t, trainable=_trainable(t))
 
 
 def _conv_same_pad(size: int, stride: int, kernel: int) -> tuple[int, int, int]:
@@ -172,34 +186,56 @@ def _conv_same_pad(size: int, stride: int, kernel: int) -> tuple[int, int, int]:
     return out, total // 2, total - total // 2
 
 
+def _windows(stride_f, f_out, width):
+    """Index of each (ki, kj) tap's input window in a padded (C, F, W) clip."""
+    for ki in range(3):
+        for kj in range(3):
+            rows = slice(ki, ki + stride_f * (f_out - 1) + 1, stride_f)
+            yield ki, kj, (slice(None), rows, slice(kj, kj + width))
+
+
+def _im2col(xp_clip, stride_f, f_out, width, cols):
+    """Fill cols (C, 3, 3, F_out, W) from one padded clip; returns the (9C, F_out*W) view."""
+    for ki, kj, window in _windows(stride_f, f_out, width):
+        cols[:, ki, kj] = xp_clip[window]
+    return cols.reshape(len(cols) * 9, -1)
+
+
 def _conv_forward(x, w, b, stride_f):
-    c_in, f, width = x.shape
+    """3x3 'same' convolution of (B, C, F, W) input, strided on F.
+
+    im2col runs one clip at a time, which bounds its buffer; the cache keeps
+    the padded input, a ninth of that buffer's size, for backward to reread.
+    """
+    n, c_in, f, width = x.shape
     c_out = w.shape[0]
     f_out, pf0, pf1 = _conv_same_pad(f, stride_f, 3)
-    xp = np.pad(x, ((0, 0), (pf0, pf1), (1, 1)))
+    xp = np.pad(x, ((0, 0), (0, 0), (pf0, pf1), (1, 1)))
+    w2 = w.reshape(c_out, -1)
     cols = np.empty((c_in, 3, 3, f_out, width), dtype=x.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, ki, kj] = xp[:, ki : ki + stride_f * (f_out - 1) + 1 : stride_f, kj : kj + width]
-    cols = cols.reshape(c_in * 9, f_out * width)
-    y = (w.reshape(c_out, -1) @ cols).reshape(c_out, f_out, width) + b[:, None, None]
-    cache = (xp.shape, (c_in, f, width), pf0, cols, stride_f, f_out)
-    return y, cache
+    y = np.empty((n, c_out, f_out, width), dtype=x.dtype)
+    for clip in range(n):
+        y[clip] = (w2 @ _im2col(xp[clip], stride_f, f_out, width, cols)).reshape(c_out, f_out, width)
+    return y + b[:, None, None], (xp, f, pf0, stride_f)
 
 
-def _conv_backward(dy, w, cache):
-    xp_shape, (c_in, f, width), pf0, cols, stride_f, f_out = cache
-    c_out = w.shape[0]
-    dy2 = dy.reshape(c_out, -1)
-    db = dy2.sum(axis=1)
-    dw = (dy2 @ cols.T).reshape(w.shape)
-    dcols = (w.reshape(c_out, -1).T @ dy2).reshape(c_in, 3, 3, f_out, width)
-    dxp = np.zeros(xp_shape, dtype=dy.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            dxp[:, ki : ki + stride_f * (f_out - 1) + 1 : stride_f, kj : kj + width] += dcols[:, ki, kj]
-    dx = dxp[:, pf0 : pf0 + f, 1 : 1 + width]
-    return dx, dw, db
+def _conv_backward(dy, w, cache, input_grad=True):
+    xp, f, pf0, stride_f = cache
+    n, c_out, f_out, width = dy.shape
+    c_in = xp.shape[1]
+    w2 = w.reshape(c_out, -1)
+    cols = np.empty((c_in, 3, 3, f_out, width), dtype=xp.dtype)
+    dw = np.zeros_like(w2)
+    dxp = np.zeros_like(xp) if input_grad else None
+    for clip in range(n):
+        dy_clip = dy[clip].reshape(c_out, -1)
+        dw += dy_clip @ _im2col(xp[clip], stride_f, f_out, width, cols).T
+        if input_grad:
+            dcols = (w2.T @ dy_clip).reshape(c_in, 3, 3, f_out, width)
+            for ki, kj, window in _windows(stride_f, f_out, width):
+                dxp[clip][window] += dcols[:, ki, kj]
+    dx = dxp[:, :, pf0 : pf0 + f, 1 : 1 + width] if input_grad else None
+    return dx, dw.reshape(w.shape), dy.sum(axis=(0, 2, 3))
 
 
 def _bn_forward(x, gamma, beta, mean, var, channel_axis):
@@ -209,8 +245,7 @@ def _bn_forward(x, gamma, beta, mean, var, channel_axis):
     xhat = (x - mean.reshape(shape)) * inv
     y = gamma.reshape(shape) * xhat + beta.reshape(shape)
     reduce_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
-    moments = (x.mean(axis=reduce_axes), x.var(axis=reduce_axes))
-    return y, (xhat, inv, gamma, channel_axis, reduce_axes), moments
+    return y, (xhat, inv, gamma, channel_axis, reduce_axes)
 
 
 def _bn_backward(dy, cache):
@@ -223,228 +258,303 @@ def _bn_backward(dy, cache):
     return dx, dgamma, dbeta
 
 
-def _lstm_forward(x, wx, wh, b):
-    """Both directions at once over stacked (2, L, I) input.
+def _lstm_forward(xp, wh):
+    """Both directions at once over stacked (2, B, T, 4H) input projections.
 
-    Gate blocks within the 4H axis are [i, f, o, g]; weight stacks carry the
-    forward direction at index 0 and the backward direction at index 1.
+    Gate blocks within the 4H axis are [i, f, o, g]; stacks carry the forward
+    direction at index 0 and the backward direction at index 1.
     """
-    _, length, _ = x.shape
-    h_units = wh.shape[1]
-    xp = x @ wx + b[:, None, :]
-    h_all = np.zeros((2, length + 1, h_units), dtype=x.dtype)
-    c_all = np.zeros((2, length + 1, h_units), dtype=x.dtype)
-    sig = np.empty((2, length, 3 * h_units), dtype=x.dtype)
-    cand = np.empty((2, length, h_units), dtype=x.dtype)
-    tanh_c = np.empty((2, length, h_units), dtype=x.dtype)
-    h = h_all[:, 0]
-    c = c_all[:, 0]
+    _, n, length, four_h = xp.shape
+    h_units = four_h // 4
+    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)), so one tanh call serves all four gates
+    scale = np.ones(four_h, dtype=xp.dtype)
+    scale[: 3 * h_units] = 0.5
+    h_all = np.zeros((2, n, length + 1, h_units), dtype=xp.dtype)
+    c_all = np.zeros((2, n, length + 1, h_units), dtype=xp.dtype)
+    gates = np.empty((2, n, length, four_h), dtype=xp.dtype)
+    tanh_c = np.empty((2, n, length, h_units), dtype=xp.dtype)
+    h = h_all[:, :, 0]
+    c = c_all[:, :, 0]
     for t in range(length):
-        z = xp[:, t] + (h[:, None, :] @ wh)[:, 0]
-        s = _sigmoid(z[:, : 3 * h_units])
-        g = np.tanh(z[:, 3 * h_units :])
-        c = s[:, h_units : 2 * h_units] * c + s[:, :h_units] * g
-        tc = np.tanh(c)
-        h = s[:, 2 * h_units : 3 * h_units] * tc
-        sig[:, t] = s
-        cand[:, t] = g
-        tanh_c[:, t] = tc
-        h_all[:, t + 1] = h
-        c_all[:, t + 1] = c
-    return h_all[:, 1:], (x, h_all, c_all, sig, cand, tanh_c, wx, wh)
+        a = np.tanh((xp[:, :, t] + h @ wh) * scale, out=gates[:, :, t])
+        a[..., : 3 * h_units] += 1.0
+        a[..., : 3 * h_units] *= 0.5
+        c = a[..., h_units : 2 * h_units] * c + a[..., :h_units] * a[..., 3 * h_units :]
+        c_all[:, :, t + 1] = c
+        tc = np.tanh(c, out=tanh_c[:, :, t])
+        h = np.multiply(a[..., 2 * h_units : 3 * h_units], tc, out=h_all[:, :, t + 1])
+    return h_all[:, :, 1:], (h_all, c_all, gates, tanh_c, wh)
 
 
 def _lstm_backward(dh_out, cache):
-    x, h_all, c_all, sig, cand, tanh_c, wx, wh = cache
-    _, length, h_units = dh_out.shape
+    """Gradients for (2, B, T, H) upstream gradients: (d input projections, d wh).
+
+    No mask is needed for padded tails: their upstream gradient is zero, so
+    the running dh/dc stay exactly zero until each clip's last valid frame.
+    """
+    h_all, c_all, gates, tanh_c, wh = cache
+    _, n, length, h_units = dh_out.shape
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
-    i = sig[:, :, :h_units]
-    f = sig[:, :, h_units : 2 * h_units]
-    o = sig[:, :, 2 * h_units : 3 * h_units]
-    g = cand
-    # factor everything that does not depend on the running dc/dh out of the loop
-    a_i = g * i * (1.0 - i)
-    a_f = c_all[:, :-1] * f * (1.0 - f)
-    a_g = i * (1.0 - g * g)
-    b_o = tanh_c * o * (1.0 - o)
+    i = gates[..., :h_units]
+    f = gates[..., h_units : 2 * h_units]
+    o = gates[..., 2 * h_units : 3 * h_units]
+    g = gates[..., 3 * h_units :]
+    # factor everything that does not depend on the running dc/dh out of the
+    # loop: dz = [dc, dc, dh, dc] * factors, block by block
+    factors = np.concatenate(
+        [g * i * (1.0 - i), c_all[:, :, :-1] * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g * g)],
+        axis=3,
+    )
     b_c = o * (1.0 - tanh_c * tanh_c)
-    dz_all = np.empty((2, length, 4 * h_units), dtype=dh_out.dtype)
-    dh_next = np.zeros((2, 1, h_units), dtype=dh_out.dtype)
-    dc_next = np.zeros((2, h_units), dtype=dh_out.dtype)
-    dz = np.empty((2, 4 * h_units), dtype=dh_out.dtype)
+    dz_all = np.empty((2, n, length, 4 * h_units), dtype=dh_out.dtype)
+    dh_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
+    dc_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
     for t in range(length - 1, -1, -1):
-        dh = dh_out[:, t] + dh_next[:, 0]
-        dc = dh * b_c[:, t] + dc_next
-        dz[:, :h_units] = dc * a_i[:, t]
-        dz[:, h_units : 2 * h_units] = dc * a_f[:, t]
-        dz[:, 2 * h_units : 3 * h_units] = dh * b_o[:, t]
-        dz[:, 3 * h_units :] = dc * a_g[:, t]
-        dc_next = dc * f[:, t]
-        dh_next = dz[:, None, :] @ wh_t
-        dz_all[:, t] = dz
-    dwx = x.transpose(0, 2, 1) @ dz_all
-    dwh = h_all[:, :-1].transpose(0, 2, 1) @ dz_all
-    db = dz_all.sum(axis=1)
-    dx = dz_all @ wx.transpose(0, 2, 1)
-    return dx, dwx, dwh, db
+        dh = dh_out[:, :, t] + dh_next
+        dc = dh * b_c[:, :, t] + dc_next
+        dz = np.multiply(np.concatenate([dc, dc, dh, dc], axis=2), factors[:, :, t], out=dz_all[:, :, t])
+        dc_next = dc * f[:, :, t]
+        dh_next = dz @ wh_t
+    h_prev = h_all[:, :, :-1].reshape(2, n * length, h_units)
+    dwh = h_prev.transpose(0, 2, 1) @ dz_all.reshape(2, n * length, 4 * h_units)
+    return dz_all, dwh
 
 
-def _bilstm_forward(x, params, name):
-    wx = np.stack([params[f"{name}_fwd_wx"], params[f"{name}_bwd_wx"]])
+def _reversal(steps: np.ndarray, length: int) -> np.ndarray:
+    """(B, T) gather index reversing each clip's valid frames; padding stays put.
+
+    The permutation is its own inverse, and it keeps every padded frame after
+    the valid ones, so the backward direction also reads its clip first.
+    """
+    t = np.arange(length)
+    return np.where(t < steps[:, None], steps[:, None] - 1 - t, t)
+
+
+def _bilstm_forward(x, params, name, rev):
+    """Bidirectional layer over (B, T, I) input; ``rev`` from :func:`_reversal`."""
+    n, length, inputs = x.shape
+    wx = np.concatenate([params[f"{name}_fwd_wx"], params[f"{name}_bwd_wx"]], axis=1)
+    b = np.concatenate([params[f"{name}_fwd_b"], params[f"{name}_bwd_b"]])
     wh = np.stack([params[f"{name}_fwd_wh"], params[f"{name}_bwd_wh"]])
-    b = np.stack([params[f"{name}_fwd_b"], params[f"{name}_bwd_b"]])
-    stacked = np.stack([x, x[::-1]])
-    h_both, cache = _lstm_forward(stacked, wx, wh, b)
-    y = np.concatenate([h_both[0], h_both[1][::-1]], axis=1)
-    return y, (cache, name)
+    # one projection for both directions, then the backward half in reversed time
+    proj = (x.reshape(-1, inputs) @ wx + b).reshape(n, length, 2, -1)
+    rows = np.arange(n)[:, None]
+    h_both, cache = _lstm_forward(np.stack([proj[:, :, 0], proj[rows, rev, 1]]), wh)
+    y = np.concatenate([h_both[0], h_both[1][rows, rev]], axis=2)
+    return y, (cache, name, rev, x, wx)
 
 
 def _bilstm_backward(dy, cache, grads):
-    lstm_cache, name = cache
-    h_units = dy.shape[1] // 2
-    dh = np.stack([dy[:, :h_units], dy[::-1, h_units:]])
-    dx, dwx, dwh, db = _lstm_backward(dh, lstm_cache)
+    lstm_cache, name, rev, x, wx = cache
+    n, length, inputs = x.shape
+    rows = np.arange(n)[:, None]
+    h_units = dy.shape[2] // 2
+    dz, dwh = _lstm_backward(np.stack([dy[..., :h_units], dy[..., h_units:][rows, rev]]), lstm_cache)
+    dproj = np.concatenate([dz[0], dz[1][rows, rev]], axis=2).reshape(n * length, -1)
+    dwx = x.reshape(-1, inputs).T @ dproj
+    db = dproj.sum(axis=0)
     for d, direction in enumerate(("fwd", "bwd")):
-        grads[f"{name}_{direction}_wx"] = dwx[d]
+        cols = slice(4 * h_units * d, 4 * h_units * (d + 1))
+        grads[f"{name}_{direction}_wx"] = dwx[:, cols]
         grads[f"{name}_{direction}_wh"] = dwh[d]
-        grads[f"{name}_{direction}_b"] = db[d]
-    return dx[0] + dx[1][::-1]
+        grads[f"{name}_{direction}_b"] = db[cols]
+    return (dproj @ wx.T).reshape(x.shape)
 
 
 def frame_double(features: np.ndarray) -> np.ndarray:
-    """Split each feature row in half, emitting two frames per input frame."""
-    length, dim = features.shape
+    """Split each feature row in half, emitting two frames per input frame.
+
+    Works on (..., frames, dim) arrays; time is the second-to-last axis.
+    """
+    *lead, length, dim = features.shape
     if dim % 2:
         raise OddFeatureDim(f"feature dim {dim} is odd")
-    return features.reshape(length, 2, dim // 2).reshape(2 * length, dim // 2)
+    return features.reshape(*lead, 2 * length, dim // 2)
 
 
 def frame_undouble(features: np.ndarray) -> np.ndarray:
     """Inverse of :func:`frame_double`."""
-    length, dim = features.shape
+    *lead, length, dim = features.shape
     if length % 2:
         raise OddFeatureDim(f"frame count {length} is odd")
-    return features.reshape(length // 2, 2 * dim)
+    return features.reshape(*lead, length // 2, 2 * dim)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _fill_dropout(views, rngs, p: float) -> None:
+    """Write inverted-dropout multipliers into each clip's view, one generator per clip."""
+    for view, rng in zip(views, rngs):
+        view[...] = (rng.random(view.shape) >= p).astype(view.dtype) / (1 - p)
 
 
 @dataclass(eq=False)
 class TrainCache:
-    config: ModelConfig
     params: "ModelParams"
     stages: list
-    bn_moments: dict
-    input_shape: tuple
+    steps: np.ndarray  # output frames per clip
+    batched: bool
+    bn_moments: dict | list  # per-clip (mean, var) by layer; a list for a batch
     used: bool = False
 
 
-def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", rng_seed: int = 0):
-    """Run the network on a spectrogram.
+def _input_frames(spec, bins: int) -> np.ndarray:
+    frames = np.asarray(getattr(spec, "frames", spec))
+    if frames.ndim != 2 or frames.shape[1] != bins:
+        raise ShapeMismatch(f"expected (W, {bins}) input, got {frames.shape}")
+    if frames.shape[0] < 1:
+        raise ShapeMismatch("need at least one frame")
+    return frames
+
+
+def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", rng_seed=0):
+    """Run the network on one spectrogram or a batch of them.
 
     Parameters
     ----------
-    spec : Spectrogram or (W, bins) array
-        Input frames.
+    spec : Spectrogram or (W, bins) array, or a list of them
+        Input frames. A list runs as one batch: clips are right-padded to the
+        longest, and each clip's output equals what it gives on its own (up
+        to float summation order).
     mode : {"eval", "train"}
-        Train mode applies dropout (seeded by ``rng_seed``) and returns
-        ``(grid, cache)`` for :func:`backward`; eval mode returns the grid
-        alone and is a pure function of (params, input).
+        Train mode applies dropout and returns ``(grids, cache)`` for
+        :func:`backward`; eval mode returns the grids alone and is a pure
+        function of (params, input).
+    rng_seed : int, or one int per clip for a batch
+        Dropout seed of each clip in train mode.
 
     Returns
     -------
-    PosteriorGrid or (PosteriorGrid, TrainCache)
+    PosteriorGrid (a list of them for a batch), plus a TrainCache in train
+    mode whose ``bn_moments`` holds each clip's batch-norm input moments.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    frames = np.asarray(getattr(spec, "frames", spec))
-    if frames.ndim != 2 or frames.shape[1] != config.input_bins:
-        raise ShapeMismatch(
-            f"expected (W, {config.input_bins}) input, got {frames.shape}"
-        )
-    if frames.shape[0] < 1:
-        raise ShapeMismatch("need at least one frame")
+    batched = isinstance(spec, (list, tuple))
+    frames = [_input_frames(s, config.input_bins) for s in (spec if batched else [spec])]
+    if not frames:
+        raise ShapeMismatch("need at least one clip")
+    train = mode == "train"
+    dropout = train and config.dropout_p > 0
+    if dropout:
+        seeds = list(rng_seed) if batched else [rng_seed]
+        if len(seeds) != len(frames):
+            raise ValueError(f"need one dropout seed per clip, got {len(seeds)} for {len(frames)}")
+        rngs = [np.random.default_rng(s) for s in seeds]
     t = params.tensors
     dtype = t["out_w"].dtype
-    train = mode == "train"
-    rng = np.random.default_rng(rng_seed) if train else None
+    n = len(frames)
+    lengths = np.array([len(f) for f in frames])
+    width = int(lengths.max())
+    padded = bool(np.any(lengths < width))
     stages: list = []
-    bn_moments: dict = {}
+    bn_moments: list[dict] = [{} for _ in range(n)]
 
-    x = np.ascontiguousarray(frames.T[None, :, :], dtype=dtype)  # (1, bins, W)
+    # (B, C, F, W) through the convolutions; padded columns are zero whenever
+    # a convolution reads them, as they are for a lone clip
+    x = np.zeros((n, 1, config.input_bins, width), dtype=dtype)
+    for b, f in enumerate(frames):
+        x[b, 0, :, : len(f)] = f.T
+    valid = (np.arange(width) < lengths[:, None]).astype(dtype)[:, None, None, :]
     for i in range(config.conv_layers):
         x, cache = _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], config.conv_freq_stride)
         stages.append(("conv", i, cache))
-        x, cache, moments = _bn_forward(
-            x, t[f"bn{i}_gamma"], t[f"bn{i}_beta"], t[f"bn{i}_mean"], t[f"bn{i}_var"], 0
+        if train:
+            for b, length in enumerate(lengths):
+                clip = x[b, :, :, :length]
+                bn_moments[b][f"bn{i}"] = (clip.mean(axis=(1, 2)), clip.var(axis=(1, 2)))
+        x, cache = _bn_forward(
+            x, t[f"bn{i}_gamma"], t[f"bn{i}_beta"], t[f"bn{i}_mean"], t[f"bn{i}_var"], 1
         )
-        bn_moments[f"bn{i}"] = moments
         stages.append(("bn", f"bn{i}", cache))
-        mask = x > 0
-        x = x * mask
-        stages.append(("relu", None, mask))
-        if train and config.dropout_p > 0:
-            drop = (rng.random(x.shape) >= config.dropout_p).astype(dtype) / (1 - config.dropout_p)
-            x = x * drop
-            stages.append(("dropout", None, drop))
+        keep = (x > 0).astype(dtype)  # ReLU
+        if dropout:
+            drop = np.zeros_like(x)
+            clips = (drop[b, :, :, :length] for b, length in enumerate(lengths))
+            _fill_dropout(clips, rngs, config.dropout_p)
+            keep *= drop
+        elif padded:
+            keep *= valid
+        x = x * keep
+        stages.append(("mul", None, keep))
 
-    # (C, F, W) -> (W, F*C), feature index = f * C + c
-    c_ch, f_dim, width = x.shape
-    x = np.ascontiguousarray(x.transpose(2, 1, 0).reshape(width, f_dim * c_ch))
-    stages.append(("flatten", None, (c_ch, f_dim, width)))
+    # (B, C, F, W) -> (B, W, F*C), feature index = f * C + c
+    x = np.ascontiguousarray(x.transpose(0, 3, 2, 1))
+    stages.append(("flatten", None, x.shape))
+    x = x.reshape(n, width, -1)
 
+    steps = lengths
     if config.frame_doubling:
         x = frame_double(x)
+        steps = 2 * lengths
         stages.append(("double", None, None))
 
+    rev = _reversal(steps, x.shape[1])
     for l in range(config.recurrent_layers):
-        x, cache = _bilstm_forward(x, t, f"rnn{l}")
+        x, cache = _bilstm_forward(x, t, f"rnn{l}", rev)
         stages.append(("bilstm", l, cache))
         if l < config.recurrent_layers - 1:
-            x, cache, moments = _bn_forward(
-                x, t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"], 1
+            if train:
+                for b, s in enumerate(steps):
+                    bn_moments[b][f"rbn{l}"] = (x[b, :s].mean(axis=0), x[b, :s].var(axis=0))
+            x, cache = _bn_forward(
+                x, t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"], 2
             )
-            bn_moments[f"rbn{l}"] = moments
             stages.append(("bn", f"rbn{l}", cache))
-    if train and config.dropout_p > 0:
-        drop = (rng.random(x.shape) >= config.dropout_p).astype(dtype) / (1 - config.dropout_p)
+    if dropout:
+        drop = np.zeros_like(x)
+        _fill_dropout((drop[b, :s] for b, s in enumerate(steps)), rngs, config.dropout_p)
         x = x * drop
-        stages.append(("dropout", None, drop))
+        stages.append(("mul", None, drop))
 
     logits = x @ t["out_w"] + t["out_b"]
     stages.append(("out", None, x))
-    grid = PosteriorGrid(probs=_softmax(logits))
+    probs = _softmax(logits)
+    grids = [PosteriorGrid(probs=probs[b, :s]) for b, s in enumerate(steps)]
     if not train:
-        return grid
+        return grids if batched else grids[0]
     cache = TrainCache(
-        config=config, params=params, stages=stages, bn_moments=bn_moments, input_shape=frames.shape
+        params=params,
+        stages=stages,
+        steps=steps,
+        batched=batched,
+        bn_moments=bn_moments if batched else bn_moments[0],
     )
-    return grid, cache
+    return (grids if batched else grids[0]), cache
 
 
-def backward(cache: TrainCache, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+def backward(cache: TrainCache, grad_logits) -> dict[str, np.ndarray]:
     """Exact loss gradients for every trainable tensor.
 
     ``grad_logits`` is the upstream gradient with respect to the pre-softmax
-    activations, as produced by the alignment-free loss.
+    activations, as produced by the alignment-free loss: one (frames, V)
+    array, or a list with one per clip for a batched forward. Gradients are
+    summed over the batch and carry the parameter dtype whatever the dtype
+    of ``grad_logits``.
     """
     if not isinstance(cache, TrainCache) or cache.used:
         raise StaleCache("backward needs a fresh cache from a train-mode forward")
     cache.used = True
     t = cache.params.tensors
+    out_w = t["out_w"]
+    per_clip = grad_logits if cache.batched else [grad_logits]
+    # padded frames get zero upstream gradient, so they contribute nothing below
+    dx = np.zeros((len(cache.steps), int(cache.steps.max()), out_w.shape[1]), dtype=out_w.dtype)
+    for b, (g, s) in enumerate(zip(per_clip, cache.steps, strict=True)):
+        dx[b, :s] = g
     grads: dict[str, np.ndarray] = {}
-    dx = None
-    for kind, key, data in reversed(cache.stages):
+    while cache.stages:
+        # popping frees each stage's activations as soon as it is done
+        kind, key, data = cache.stages.pop()
         if kind == "out":
-            h = data
-            grads["out_w"] = h.T @ grad_logits
-            grads["out_b"] = grad_logits.sum(axis=0)
-            dx = grad_logits @ t["out_w"].T
-        elif kind == "dropout":
+            grads["out_w"] = data.reshape(-1, data.shape[-1]).T @ dx.reshape(-1, dx.shape[-1])
+            grads["out_b"] = dx.sum(axis=(0, 1))
+            dx = dx @ out_w.T
+        elif kind == "mul":
             dx = dx * data
         elif kind == "bn":
             dx, dgamma, dbeta = _bn_backward(dx, data)
@@ -455,15 +565,12 @@ def backward(cache: TrainCache, grad_logits: np.ndarray) -> dict[str, np.ndarray
         elif kind == "double":
             dx = frame_undouble(dx)
         elif kind == "flatten":
-            c_ch, f_dim, width = data
-            dx = dx.reshape(width, f_dim, c_ch).transpose(2, 1, 0)
-        elif kind == "relu":
-            dx = dx * data
+            dx = dx.reshape(data).transpose(0, 3, 2, 1)
         elif kind == "conv":
-            i = key
-            dx, dw, db = _conv_backward(dx, t[f"conv{i}_w"], data)
-            grads[f"conv{i}_w"] = dw
-            grads[f"conv{i}_b"] = db
+            # the input spectrogram needs no gradient
+            dx, dw, db = _conv_backward(dx, t[f"conv{key}_w"], data, input_grad=key > 0)
+            grads[f"conv{key}_w"] = dw
+            grads[f"conv{key}_b"] = db
     return grads
 
 
@@ -570,11 +677,26 @@ def save_checkpoint(
             _write_tensor(fh, name, velocity[name])
 
 
+def _check_tensors(kind: str, tensors: dict, shapes: dict) -> None:
+    if tensors.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - tensors.keys())
+        extra = sorted(tensors.keys() - shapes.keys())
+        raise CheckpointError(
+            f"{kind} tensors do not match the model configuration: "
+            f"missing {missing}, unexpected {extra}"
+        )
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"{kind} tensor {name} has shape {tensors[name].shape}, expected {shape}")
+
+
 def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
     """Load a checkpoint; returns (config, params, velocity, state dict).
 
-    Raises :class:`VocabularyMismatch` when an expected vocabulary hash is
-    given and differs from the stored one.
+    Raises :class:`CheckpointError` unless the file holds exactly the tensors
+    its model configuration implies, with their shapes, and nothing after
+    them; raises :class:`VocabularyMismatch` when an expected vocabulary hash
+    is given and differs from the stored one.
     """
     try:
         with open(path, "rb") as fh:
@@ -597,11 +719,15 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
             for _ in range(n_vel):
                 name, array = _read_tensor(fh)
                 velocity[name] = array
-    except (struct.error, ValueError, KeyError, json.JSONDecodeError) as exc:
+            if fh.read(1):
+                raise CheckpointError("trailing bytes after the last tensor")
+        shapes = param_shapes(config)
+        state = {"epoch": header["epoch"], "best_wer": header["best_wer"], "vocab_hash": vocab_hash}
+    except (struct.error, ValueError, KeyError, TypeError, json.JSONDecodeError, OddFeatureDim) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+    _check_tensors("parameter", tensors, shapes)
+    _check_tensors("velocity", velocity, {n: shapes[n] for n in _trainable(shapes)})
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise VocabularyMismatch("checkpoint vocabulary hash does not match")
-    trainable = tuple(n for n in tensors if not (n.endswith("_mean") or n.endswith("_var")))
-    params = ModelParams(tensors=tensors, trainable=trainable)
-    state = {"epoch": header["epoch"], "best_wer": header["best_wer"], "vocab_hash": vocab_hash}
+    params = ModelParams(tensors=tensors, trainable=_trainable(tensors))
     return config, params, velocity, state

@@ -208,6 +208,21 @@ def test_transcribe_corrupt_checkpoint_distinct_exit(tiny_dataset, tmp_path):
     assert rc == cli.EXIT_DATA  # load failure, not a decoding failure
 
 
+@pytest.mark.parametrize("damage", ["missing_tensor", "trailing_bytes"])
+def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path, damage):
+    ckpt_dir = tiny_dataset["checkpoint_dir"]
+    config, params, velocity, state = net.load_checkpoint(ckpt_dir / "best.ckpt")
+    if damage == "missing_tensor":
+        del params.tensors["out_b"]
+    bad = tmp_path / "bad.ckpt"
+    net.save_checkpoint(bad, config, params, velocity, state["vocab_hash"])
+    if damage == "trailing_bytes":
+        bad.write_bytes(bad.read_bytes() + b"\x00\x00")
+    shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
+    wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
+    assert cli.main(["transcribe", str(wav), "--checkpoint", str(bad)]) == cli.EXIT_DATA
+
+
 def test_evaluate_oracle_mode_zero_rates(tiny_dataset, capsys):
     rc = cli.main(
         [

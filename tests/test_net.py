@@ -235,6 +235,27 @@ def test_checkpoint_corrupt_file(tmp_path):
     truncated.write_bytes(data[: len(data) // 2])
     with pytest.raises(net.CheckpointError):
         net.load_checkpoint(truncated)
+    truncated.write_bytes(data + b"\x00")
+    with pytest.raises(net.CheckpointError):
+        net.load_checkpoint(truncated)
+
+
+@pytest.mark.parametrize("damage", ["missing", "extra", "wrong_shape", "velocity_missing"])
+def test_checkpoint_tensors_must_match_config(tmp_path, damage):
+    params = tiny_params(dtype=np.float32)
+    velocity = net.zero_velocity(params)
+    if damage == "missing":
+        del params.tensors["out_b"]
+    elif damage == "extra":
+        params.tensors["stray"] = np.zeros(3, dtype=np.float32)
+    elif damage == "wrong_shape":
+        params.tensors["out_w"] = params.tensors["out_w"][:, :-1].copy()
+    else:
+        params.trainable = params.trainable[:-1]
+    path = tmp_path / "model.ckpt"
+    net.save_checkpoint(path, TINY, params, velocity, b"\x00" * 32)
+    with pytest.raises(net.CheckpointError):
+        net.load_checkpoint(path)
 
 
 def test_model_config_validation():
@@ -255,3 +276,54 @@ def test_batchnorm_stats_update():
     after = params.tensors["bn0_mean"]
     assert not np.array_equal(before, after)
     assert after.dtype == np.float32
+
+
+def _close(actual, expected, rtol):
+    return np.abs(actual - expected).max() <= rtol * max(np.abs(expected).max(), 1e-30)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-10), (np.float32, 1e-4)])
+def test_batch_matches_per_clip_runs(dtype, rtol):
+    # unequal lengths leave padded tails in both LSTM directions; the last,
+    # longest clip gets zero upstream gradient, as an infeasible clip does
+    params = tiny_params(dtype=dtype)
+    rng = np.random.default_rng(17)
+    clips = [rng.random((w, 24)) for w in (7, 4, 9, 11)]
+    seeds = [31, 32, 33, 34]
+    targets = [[1, 2, 1], [3], [2, 4, 4, 1]]
+    grids, cache = net.forward(params, TINY, clips, mode="train", rng_seed=seeds)
+    assert len(grids) == len(cache.bn_moments) == 4
+    upstream = []
+    expected: dict[str, np.ndarray] = {}
+    for x, seed, target, grid, moments in zip(clips, seeds, targets, grids, cache.bn_moments):
+        single, single_cache = net.forward(params, TINY, x, mode="train", rng_seed=seed)
+        assert grid.probs.shape == single.probs.shape
+        assert _close(grid.probs, single.probs, rtol)
+        for name, (mean, var) in single_cache.bn_moments.items():
+            assert _close(moments[name][0], mean, rtol) and _close(moments[name][1], var, rtol)
+        loss, lattice = ctc.ctc_loss(single, target)
+        batch_loss, batch_lattice = ctc.ctc_loss(grid, target)
+        assert abs(batch_loss - loss) <= rtol * abs(loss)
+        upstream.append(ctc.ctc_grad(batch_lattice, grid, target))
+        for name, g in net.backward(single_cache, ctc.ctc_grad(lattice, single, target)).items():
+            expected[name] = expected.get(name, 0) + g
+    upstream.append(np.zeros_like(grids[3].probs))
+    grads = net.backward(cache, upstream)
+    assert set(grads) == set(expected)
+    for name, g in grads.items():
+        assert _close(g, expected[name], rtol), name
+    for grid, x in zip(net.forward(params, TINY, clips, mode="eval"), clips):
+        assert _close(grid.probs, net.forward(params, TINY, x, mode="eval").probs, rtol)
+
+
+def test_float32_params_give_float32_grads():
+    params = tiny_params(dtype=np.float32)
+    x = np.random.default_rng(8).random((6, 24))
+    grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=4)
+    loss, lattice = ctc.ctc_loss(grid, [1, 2])
+    upstream = ctc.ctc_grad(lattice, grid, [1, 2])
+    assert upstream.dtype == np.float64
+    grads = net.backward(cache, upstream)
+    assert set(grads) == set(params.trainable)
+    for name, g in grads.items():
+        assert g.dtype == np.float32, name
