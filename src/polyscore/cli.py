@@ -79,6 +79,13 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.max_duration_s is not None and self.max_duration_s <= 0:
             raise ConfigError("max_duration_s must be positive")
+        for voice in self.voices or ():
+            harmonics = voice.get("harmonics") if isinstance(voice, dict) else None
+            if not isinstance(harmonics, list) or not all(_is_number(a) for a in harmonics):
+                raise ConfigError("each voice needs a list of numbers as harmonics")
+            if not _is_number(voice.get("decay", 3.0)):
+                raise ConfigError("voice decay must be a number")
+        _voices_for(self, 1)  # raises on amplitudes or decays the synthesizer rejects
         kern.assign_tempo(self.default_tempo)  # raises on unknown labels
 
     @property
@@ -105,6 +112,10 @@ class RunConfig:
             if not value.is_absolute():
                 setattr(cfg, attr, str(base / value))
         return cfg
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _substream(*parts) -> np.random.Generator:
@@ -147,6 +158,11 @@ def read_manifest(path) -> list[Sample]:
                     samples.append(Sample(**json.loads(line)))
     except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    for s in samples:
+        if not all(isinstance(v, str) for v in (s.id, s.audio, s.tokens, s.split)):
+            raise DataError(f"manifest {path}: id, audio, tokens and split of {s.id!r} must be strings")
+        if not _is_number(s.duration_s):
+            raise DataError(f"manifest {path}: duration_s of {s.id!r} must be a number")
     return samples
 
 
@@ -160,9 +176,18 @@ def _read_tokens(path, vocab: codec.Vocabulary) -> codec.TokenSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = tuple(int(line) for line in fh if line.strip())
+        if ctc.BLANK in tokens:
+            raise ValueError("the blank cannot be a target token")
+        return codec.TokenSequence(tokens=tokens, vocab=vocab)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read token file {path}: {exc}") from exc
-    return codec.TokenSequence(tokens=tokens, vocab=vocab)
+
+
+def _read_vocabulary(path) -> codec.Vocabulary:
+    try:
+        return codec.Vocabulary.load(path)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
 
 
 def _resolve_tempo_label(doc: kern.KernDocument, default: str) -> str:
@@ -334,7 +359,7 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     vocab_path = manifest_path.parent / VOCAB_FILENAME
     if not vocab_path.exists():
         raise DataError(f"vocabulary file {vocab_path} not found")
-    vocab = codec.Vocabulary.load(vocab_path)
+    vocab = _read_vocabulary(vocab_path)
     vocab_hash = vocab.sha256()
 
     data = _load_split(manifest_path, vocab, ("train", "validation"))
@@ -383,13 +408,13 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
                 moments = []
                 for (sample_id, _, target), grid, clip_moments in zip(batch, grids, cache.bn_moments):
                     try:
-                        loss, lattice = ctc.ctc_loss(grid, target)
+                        loss, grad = ctc.ctc_loss(grid, target)
                     except ctc.InfeasibleLength as exc:
                         skipped += 1
                         _diag(f"train: skipping {sample_id} in epoch {epoch}: {exc}")
-                        grad_logits.append(np.zeros_like(grid.probs))
+                        grad_logits.append(np.zeros_like(grid))
                         continue
-                    grad_logits.append(ctc.ctc_grad(lattice, grid, target))
+                    grad_logits.append(grad)
                     moments.append(clip_moments)
                     losses.append(loss)
                 if not moments:
@@ -426,7 +451,7 @@ def _load_model(checkpoint_path):
     vocab_path = checkpoint_path.parent / VOCAB_FILENAME
     if not vocab_path.exists():
         raise DataError(f"vocabulary file {vocab_path} not found next to checkpoint")
-    vocab = codec.Vocabulary.load(vocab_path)
+    vocab = _read_vocabulary(vocab_path)
     try:
         model_config, params, _, _ = net.load_checkpoint(
             checkpoint_path, expected_vocab_hash=vocab.sha256()
@@ -437,7 +462,7 @@ def _load_model(checkpoint_path):
 
 
 def cmd_transcribe(checkpoint_path, wav_path) -> int:
-    """WAV -> posteriors -> greedy collapse -> kern text on stdout."""
+    """WAV -> log-posteriors -> greedy collapse -> kern text on stdout."""
     vocab, model_config, params = _load_model(checkpoint_path)
     clip = dsp.load_wav(wav_path)
     spec = dsp.stft_logfreq(clip)

@@ -1,13 +1,12 @@
 """Alignment-free sequence loss, its gradient, and greedy decoding.
 
 The loss sums, over every frame labeling that collapses to the target, the
-product of per-frame posteriors. All lattice math runs in log domain; minus
-infinity marks impossible states and propagates through ``np.logaddexp``.
-The blank symbol is always index 0.
+product of per-frame posteriors. It reads per-frame log-posteriors, as the
+network emits them, and all lattice math runs in log domain; minus infinity
+marks impossible states and propagates through ``np.logaddexp``. The blank
+symbol is always index 0.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +15,6 @@ BLANK = 0
 
 class InfeasibleLength(Exception):
     """Target cannot be emitted in the given number of frames."""
-
-
-def _probs(grid) -> np.ndarray:
-    p = getattr(grid, "probs", grid)
-    return np.asarray(p, dtype=np.float64)
 
 
 def _target_labels(target) -> np.ndarray:
@@ -44,120 +38,69 @@ def min_frames(labels: np.ndarray) -> int:
     return labels.size + repeats
 
 
-@dataclass(eq=False)
-class AlignmentLattice:
-    """Forward/backward log-probabilities over the blank-augmented target."""
+def _forward(emit: np.ndarray, aug: np.ndarray) -> np.ndarray:
+    """log alpha[t, s]: mass of the paths that emit frames 0..t and end in state s.
 
-    log_alpha: np.ndarray  # (L, 2U+1)
-    augmented: np.ndarray
-    log_total: float
-    target_key: tuple
+    ``emit`` holds each state's log-posterior per frame, (L, S). A path starts
+    in state 0 or 1; state s is entered from s, from s-1, and from s-2 when
+    that neither merges a repeated label nor hops over a required blank.
+    """
+    L, S = emit.shape
+    # 0 where the s-2 -> s skip is allowed, -inf where it is not
+    skip_cost = np.full(max(S - 2, 0), -np.inf)
+    skip_cost[(aug[2:] != BLANK) & (aug[2:] != aug[:-2])] = 0.0
+    log_alpha = np.full((L, S), -np.inf)
+    log_alpha[0, :2] = emit[0, :2]
+    for t in range(1, L):
+        prev = log_alpha[t - 1]
+        acc = log_alpha[t]
+        acc[0] = prev[0]
+        acc[1:] = np.logaddexp(prev[1:], prev[:-1])
+        acc[2:] = np.logaddexp(acc[2:], prev[:-2] + skip_cost)
+        acc += emit[t]
+    return log_alpha
 
 
-def ctc_loss(grid, target) -> tuple[float, AlignmentLattice]:
-    """Negative log-likelihood of the target under per-frame posteriors.
+def ctc_loss(log_probs, target) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood of the target and its gradient, in one pass.
 
     Parameters
     ----------
-    grid : PosteriorGrid or (L, V) array
-        Rows of per-frame symbol probabilities.
+    log_probs : (L, V) array
+        Per-frame log-posteriors: the row log-softmax of the logits.
     target : TokenSequence or sequence of int
         Blank-free label sequence.
 
     Returns
     -------
-    (float, AlignmentLattice)
-        The loss and the forward lattice needed by :func:`ctc_grad`.
+    (float, (L, V) float64 array)
+        The loss and its gradient with respect to the logits, the posteriors
+        minus the per-frame label occupancy (Graves et al., 2006, eq. 16).
     """
-    probs = _probs(grid)
+    logp = np.asarray(log_probs, dtype=np.float64)
     labels = _target_labels(target)
-    L = probs.shape[0]
+    L, V = logp.shape
     need = min_frames(labels)
     if L < need:
         raise InfeasibleLength(f"{L} frames cannot emit {labels.size} labels (need {need})")
     aug = _augment(labels)
-    S = aug.size
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-
-    log_alpha = np.full((L, S), -np.inf)
-    log_alpha[0, 0] = logp[0, BLANK]
-    if S > 1:
-        log_alpha[0, 1] = logp[0, aug[1]]
-    # states may also come from s-1, and from s-2 when that does not merge
-    # a repeated label or hop over a required blank
-    skip_ok = np.zeros(S, dtype=bool)
-    skip_ok[2:] = (aug[2:] != BLANK) & (aug[2:] != aug[:-2])
-    step = np.full(S, -np.inf)
-    skip = np.full(S, -np.inf)
-    for t in range(1, L):
-        prev = log_alpha[t - 1]
-        step[1:] = prev[:-1]
-        acc = np.logaddexp(prev, step)
-        if S > 2:
-            skip[2:] = prev[:-2]
-            acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        log_alpha[t] = acc + logp[t, aug]
-
-    tail = log_alpha[L - 1, S - 1]
-    if S > 1:
-        tail = np.logaddexp(tail, log_alpha[L - 1, S - 2])
-    log_total = float(tail)
-    lattice = AlignmentLattice(
-        log_alpha=log_alpha,
-        augmented=aug,
-        log_total=log_total,
-        target_key=(L, tuple(int(x) for x in labels)),
-    )
-    return -log_total, lattice
+    emit = logp[:, aug]
+    log_alpha = _forward(emit, aug)
+    # beta is alpha of the lattice reversed in time and in state order; like
+    # alpha it includes the emission of its own frame
+    log_beta = _forward(emit[::-1, ::-1], aug[::-1])[::-1, ::-1]
+    log_total = float(np.logaddexp.reduce(log_alpha[-1, -2:]))
+    # alpha and beta both count the emission at (t, s): take it out once, and
+    # leave cells that cannot emit at -inf instead of -inf - -inf
+    with np.errstate(invalid="ignore"):
+        log_gamma = np.where(emit > -np.inf, log_alpha + log_beta - emit - log_total, -np.inf)
+    occupancy = np.exp(log_gamma) @ (aug[:, None] == np.arange(V))
+    return -log_total, np.exp(logp) - occupancy
 
 
-def ctc_grad(lattice: AlignmentLattice, grid, target) -> np.ndarray:
-    """Gradient of the loss with respect to pre-softmax activations.
-
-    Equals the posterior probabilities minus the per-frame label occupancy
-    accumulated from the forward/backward lattice.
-    """
-    probs = _probs(grid)
-    labels = _target_labels(target)
-    L, V = probs.shape
-    if lattice.target_key != (L, tuple(int(x) for x in labels)):
-        raise ValueError("lattice does not belong to this (grid, target) pair")
-    aug = lattice.augmented
-    S = aug.size
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-
-    # beta[t, s]: completion probability from state s after frame t, so that
-    # alpha + beta sums to the total at every frame
-    log_beta = np.full((L, S), -np.inf)
-    log_beta[L - 1, S - 1] = 0.0
-    if S > 1:
-        log_beta[L - 1, S - 2] = 0.0
-    skip_ok = np.zeros(S, dtype=bool)
-    skip_ok[: S - 2] = (aug[2:] != BLANK) & (aug[2:] != aug[:-2])
-    step = np.full(S, -np.inf)
-    skip = np.full(S, -np.inf)
-    for t in range(L - 2, -1, -1):
-        nxt = log_beta[t + 1] + logp[t + 1, aug]
-        step[:-1] = nxt[1:]
-        acc = np.logaddexp(nxt, step)
-        if S > 2:
-            skip[:-2] = nxt[2:]
-            acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        log_beta[t] = acc
-
-    log_gamma = lattice.log_alpha + log_beta - lattice.log_total
-    occupancy = np.zeros((L, V))
-    gamma = np.exp(log_gamma)
-    for s in range(S):
-        occupancy[:, aug[s]] += gamma[:, s]
-    return probs - occupancy
-
-
-def greedy_decode(grid) -> np.ndarray:
+def greedy_decode(log_probs) -> np.ndarray:
     """Per-frame argmax labels; ties break toward the lowest index."""
-    return np.argmax(_probs(grid), axis=1)
+    return np.argmax(log_probs, axis=1)
 
 
 def collapse(labels, vocab=None):

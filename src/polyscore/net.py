@@ -4,7 +4,8 @@ Stack: two 3x3 convolutions (16 filters, stride 2 on the frequency axis only)
 each followed by batch normalization, ReLU and dropout; per-frame features are
 flattened frequency-major and optionally frame-doubled; two bidirectional LSTM
 layers with batch normalization between them and dropout after the last; a
-final linear projection with row softmax yields per-frame symbol posteriors.
+final linear projection with row log-softmax yields per-frame symbol
+log-posteriors.
 
 Batch normalization always normalizes with the stored running statistics (the
 desk-scale batches are too small for batch statistics); the training loop
@@ -17,6 +18,7 @@ incoming loss gradient to it.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -100,20 +102,6 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.trainable)
-
-
-@dataclass(eq=False)
-class PosteriorGrid:
-    """Per-frame symbol probabilities, one row per output frame."""
-
-    probs: np.ndarray
-
-    def validate(self, tol: float = 1e-6) -> None:
-        sums = self.probs.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= tol):
-            raise ValueError("posterior rows must sum to 1")
-        if np.any(self.probs < 0) or np.any(self.probs > 1):
-            raise ValueError("posterior entries must lie in [0, 1]")
 
 
 def _uniform(rng, shape, fan_in, dtype):
@@ -380,10 +368,9 @@ def frame_undouble(features: np.ndarray) -> np.ndarray:
     return features.reshape(*lead, length // 2, 2 * dim)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _fill_dropout(views, rngs, p: float) -> None:
@@ -429,8 +416,9 @@ def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", 
 
     Returns
     -------
-    PosteriorGrid (a list of them for a batch), plus a TrainCache in train
-    mode whose ``bn_moments`` holds each clip's batch-norm input moments.
+    (frames, V) array of per-frame log-posteriors in the parameter dtype (a
+    list of them for a batch), plus a TrainCache in train mode whose
+    ``bn_moments`` holds each clip's batch-norm input moments.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -513,8 +501,8 @@ def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", 
 
     logits = x @ t["out_w"] + t["out_b"]
     stages.append(("out", None, x))
-    probs = _softmax(logits)
-    grids = [PosteriorGrid(probs=probs[b, :s]) for b, s in enumerate(steps)]
+    log_probs = _log_softmax(logits)
+    grids = [log_probs[b, :s] for b, s in enumerate(steps)]
     if not train:
         return grids if batched else grids[0]
     cache = TrainCache(
@@ -657,24 +645,35 @@ def save_checkpoint(
     epoch: int = 0,
     best_wer: float | None = None,
 ) -> None:
-    """Versioned binary checkpoint: header, parameter blobs, velocity blobs."""
+    """Versioned binary checkpoint: header, parameter blobs, velocity blobs.
+
+    The file is written as ``<name>.tmp`` beside the target and then renamed
+    over it, so an interrupted save leaves the previous checkpoint intact.
+    """
     header = json.dumps(
         {"config": config.to_dict(), "epoch": epoch, "best_wer": best_wer},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<32s", vocab_hash))
-        fh.write(struct.pack("<I", len(params.tensors)))
-        for name, array in params.tensors.items():
-            _write_tensor(fh, name, array)
-        fh.write(struct.pack("<I", len(velocity)))
-        for name in params.trainable:
-            _write_tensor(fh, name, velocity[name])
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            fh.write(struct.pack("<32s", vocab_hash))
+            fh.write(struct.pack("<I", len(params.tensors)))
+            for name, array in params.tensors.items():
+                _write_tensor(fh, name, array)
+            fh.write(struct.pack("<I", len(velocity)))
+            for name in params.trainable:
+                _write_tensor(fh, name, velocity[name])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _check_tensors(kind: str, tensors: dict, shapes: dict) -> None:

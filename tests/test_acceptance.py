@@ -40,7 +40,7 @@ def test_criterion_1_ctc_oracle_equivalence():
             continue
         grid = random_grid(rng, L, V)
         expected = brute_force_probability(grid, target)
-        loss, _ = ctc.ctc_loss(grid, target)
+        loss, _ = ctc.ctc_loss(np.log(grid), target)
         worst = max(worst, abs(np.exp(-loss) - expected))
         checked += 1
     elapsed = time.monotonic() - start
@@ -63,11 +63,11 @@ def test_criterion_2_gradient_correctness():
 
     def loss_fn(p):
         grid, cache = net.forward(p, cfg, x, mode="train", rng_seed=2336)
-        loss, lattice = ctc.ctc_loss(grid, target)
-        return loss, grid, cache, lattice
+        loss, upstream = ctc.ctc_loss(grid, target)
+        return loss, cache, upstream
 
-    loss, grid, cache, lattice = loss_fn(params)
-    grads = net.backward(cache, ctc.ctc_grad(lattice, grid, target))
+    loss, cache, upstream = loss_fn(params)
+    grads = net.backward(cache, upstream)
     worst_net = 0.0
     for name in params.trainable:
         arr = params.tensors[name]
@@ -92,15 +92,13 @@ def test_criterion_2_gradient_correctness():
         if L < ctc.min_frames(np.asarray(tgt)):
             continue
         logits = rng.normal(size=(L, V))
-        probs = net._softmax(logits)
-        _, lattice = ctc.ctc_loss(probs, tgt)
-        grad = ctc.ctc_grad(lattice, probs, tgt)
+        _, grad = ctc.ctc_loss(net._log_softmax(logits), tgt)
         for idx in np.ndindex(logits.shape):
             orig = logits[idx]
             logits[idx] = orig + 1e-5
-            lp, _ = ctc.ctc_loss(net._softmax(logits), tgt)
+            lp, _ = ctc.ctc_loss(net._log_softmax(logits), tgt)
             logits[idx] = orig - 1e-5
-            lm, _ = ctc.ctc_loss(net._softmax(logits), tgt)
+            lm, _ = ctc.ctc_loss(net._log_softmax(logits), tgt)
             logits[idx] = orig
             fd = (lp - lm) / 2e-5
             worst_ctc = max(worst_ctc, abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8))

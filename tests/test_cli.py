@@ -335,3 +335,72 @@ def test_config_with_wrong_types_is_usage_error(tmp_path):
     path = tmp_path / "types.json"
     path.write_text(json.dumps({"seed": "not-a-number"}))
     assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE
+
+
+def _malformed_inputs(root, data, damage):
+    """Apply one kind of damage to a copy of the dataset; returns (argv, exit code)."""
+    config_path = _write_config(root)
+    train = ["train", "--config", str(config_path), "--manifest", str(data / "manifest.jsonl")]
+    rows = [json.loads(line) for line in (data / "manifest.jsonl").read_text().splitlines()]
+    first_train = next(r for r in rows if r["split"] == "train")
+    if damage == "vocab_symbol":
+        (data / cli.VOCAB_FILENAME).write_text("foo\n")
+        return train, cli.EXIT_DATA
+    if damage in ("token_out_of_range", "token_negative", "token_blank"):
+        value = {"token_out_of_range": 999, "token_negative": -1, "token_blank": 0}[damage]
+        (data / first_train["tokens"]).write_text(f"{value}\n")
+        return train, cli.EXIT_DATA
+    if damage == "manifest_audio_type":
+        first_train["audio"] = 5
+        (data / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return train, cli.EXIT_DATA
+    make_corpus(root / "corpus", n_scores=1, seed=3, two_voice_every=0)
+    config_path = _write_config(root, voices=[{"harmonics": 5}])
+    return ["build", "--config", str(config_path)], cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "vocab_symbol",
+        "token_out_of_range",
+        "token_negative",
+        "token_blank",
+        "manifest_audio_type",
+        "voices_harmonics_type",
+    ],
+)
+def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, damage):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset["manifest"].parent, data)
+    argv, expected = _malformed_inputs(tmp_path, data, damage)
+    assert cli.main(argv) == expected
+    if damage == "vocab_symbol":
+        # transcribe and evaluate read the vocabulary beside the checkpoint
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(tiny_dataset["checkpoint_dir"], ckpt)
+        shutil.copy(data / cli.VOCAB_FILENAME, ckpt / cli.VOCAB_FILENAME)
+        wav = next(data.glob("audio/*.wav"))
+        checkpoint = str(ckpt / "best.ckpt")
+        assert cli.main(["transcribe", str(wav), "--checkpoint", checkpoint]) == cli.EXIT_DATA
+        evaluate = ["evaluate", "--checkpoint", checkpoint, "--manifest", str(data / "manifest.jsonl")]
+        assert cli.main(evaluate) == cli.EXIT_DATA
+
+
+def test_evaluate_skips_sample_with_malformed_tokens(tiny_dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset["manifest"].parent, data)
+    samples = [s for s in cli.read_manifest(data / "manifest.jsonl") if s.split == "train"]
+    (data / samples[0].tokens).write_text("999\n")
+    rc = cli.main(
+        [
+            "evaluate",
+            "--checkpoint", str(tiny_dataset["checkpoint_dir"] / "best.ckpt"),
+            "--manifest", str(data / "manifest.jsonl"),
+            "--split", "train", "--oracle",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert samples[0].id in captured.err
+    assert f"samples {len(samples) - 1} " in captured.out
