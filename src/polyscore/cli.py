@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, ctc, dsp, kern, metrics, net, synth
+from .atomic import atomic_open
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +144,7 @@ class Sample:
 
 
 def write_manifest(path, samples: list[Sample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
             fh.write(json.dumps(dataclasses.asdict(s), sort_keys=True) + "\n")
 

@@ -10,6 +10,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
+from .atomic import atomic_open
 from .kern import CONTINUATION, KernDocument, Row, ScoreEvent
 
 EPSILON = "<eps>"
@@ -93,7 +94,7 @@ class Vocabulary:
         return self._kinds[index][1]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for s in self.symbols:
                 fh.write(_escape(s) + "\n")
 

@@ -1,18 +1,20 @@
 """PCM audio input and the log-frequency, log-magnitude spectrogram frontend.
 
 Frames of 2048 samples (Hamming windowed, hop 512) are transformed with a
-zero-padded FFT and their magnitudes aggregated onto 240 geometrically spaced
-bins covering C2 up to (but excluding) C7 at 48 bins per octave, anchored so
-that the A4 bin sits exactly at 440 Hz. Magnitudes are compressed as
-``log(1 + m)``.
+chirp-z (Bluestein) band transform that evaluates their DFT on a 32768-point
+frequency grid, only at the grid bins the log bins use. Those magnitudes are
+aggregated onto 240 geometrically spaced bins covering C2 up to (but
+excluding) C7 at 48 bins per octave, anchored so that the A4 bin sits exactly
+at 440 Hz. Magnitudes are compressed as ``log(1 + m)``.
 """
 from __future__ import annotations
 
-import struct
 import wave
 from dataclasses import dataclass
 
 import numpy as np
+
+from .atomic import atomic_open
 
 SAMPLE_RATE = 22050
 WINDOW_SIZE = 2048
@@ -21,9 +23,10 @@ N_BINS = 240
 BINS_PER_OCTAVE = 48
 A4_HZ = 440.0
 A4_BIN = 132  # 33 semitones above C2, 4 bins per semitone
-FFT_SIZE = 32768  # zero-padded so the FFT grid resolves adjacent low bins
-
-_DUMP_MAGIC = b"LFSG"
+FFT_SIZE = 32768  # DFT grid spacing SAMPLE_RATE / FFT_SIZE resolves adjacent low bins
+# Circular convolution length of the band transform: the smallest 5-smooth
+# length >= WINDOW_SIZE + (k_hi - k_lo) - 1 = 5062, so the convolution does not wrap.
+_CHIRP_SIZE = 5120
 
 
 class UnsupportedFormat(Exception):
@@ -110,7 +113,7 @@ def load_wav(path) -> AudioClip:
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
     """Write mono float samples in [-1, 1] as 16-bit PCM."""
     pcm = np.clip(np.round(np.asarray(samples, dtype=np.float64) * 32768.0), -32768, 32767)
-    with wave.open(str(path), "wb") as wav:
+    with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(sample_rate)
@@ -145,6 +148,48 @@ def _log_mapping() -> tuple[int, int, np.ndarray]:
     return _mapping_cache["weights"]
 
 
+def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
+    """Pre-chirp and chirp spectrum of the band transform (Bluestein's algorithm).
+
+    With N = FFT_SIZE and ``m * n = (m**2 + n**2 - (m - n)**2) / 2``, the DFT
+    of a windowed frame y at grid bin k_lo + m is
+
+        exp(-i pi m^2 / N) * sum_n a[n] exp(i pi (m - n)^2 / N),
+        a[n] = y[n] exp(-2 pi i (k_lo n + n^2 / 2) / N),
+
+    a linear convolution of ``a`` with a chirp, taken circularly with length
+    _CHIRP_SIZE. The leading factor has unit modulus and drops out of the
+    magnitude. Phases are reduced modulo 2N in integers before ``exp``.
+    """
+    if "chirps" not in _mapping_cache:
+        k_lo, k_hi, _ = _log_mapping()
+        n = np.arange(WINDOW_SIZE)
+        pre = np.hamming(WINDOW_SIZE) * np.exp(
+            -1j * np.pi * ((2 * k_lo * n + n * n) % (2 * FFT_SIZE)) / FFT_SIZE
+        )
+        d = np.arange(1 - WINDOW_SIZE, k_hi - k_lo)
+        chirp = np.zeros(_CHIRP_SIZE, dtype=np.complex128)
+        chirp[d % _CHIRP_SIZE] = np.exp(1j * np.pi * ((d * d) % (2 * FFT_SIZE)) / FFT_SIZE)
+        _mapping_cache["chirps"] = (pre, np.fft.fft(chirp))
+    return _mapping_cache["chirps"]
+
+
+def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """DFT magnitudes of Hamming-windowed frames at grid bins ``k_lo..k_hi-1``.
+
+    ``scratch`` is a complex ``(len(frames), _CHIRP_SIZE)`` array that is
+    overwritten.
+    """
+    k_lo, k_hi, _ = _log_mapping()
+    pre, chirp_spectrum = _band_chirps()
+    np.multiply(frames, pre, out=scratch[:, :WINDOW_SIZE])
+    scratch[:, WINDOW_SIZE:] = 0.0
+    np.fft.fft(scratch, axis=1, out=scratch)
+    scratch *= chirp_spectrum
+    np.fft.ifft(scratch, axis=1, out=scratch)
+    return np.abs(scratch[:, : k_hi - k_lo])
+
+
 def stft_logfreq(clip: AudioClip) -> Spectrogram:
     """Log-frequency, log-magnitude spectrogram of a clip.
 
@@ -153,40 +198,17 @@ def stft_logfreq(clip: AudioClip) -> Spectrogram:
     """
     n = clip.samples.size
     width = frame_count(n)
-    window = np.hamming(WINDOW_SIZE)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, WINDOW_SIZE)[::HOP_SIZE]
     frames = frames[:width]
-    k_lo, k_hi, weights = _log_mapping()
+    _, _, weights = _log_mapping()
     out = np.empty((width, N_BINS), dtype=np.float64)
-    chunk = 64  # bound the (chunk, FFT_SIZE/2+1) scratch spectrum
+    chunk = 64  # bound the (chunk, _CHIRP_SIZE) complex scratch
+    scratch = np.empty((min(chunk, width), _CHIRP_SIZE), dtype=np.complex128)
     for start in range(0, width, chunk):
         stop = min(start + chunk, width)
-        spectrum = np.fft.rfft(frames[start:stop] * window, n=FFT_SIZE, axis=1)
-        mags = np.abs(spectrum[:, k_lo:k_hi])
-        out[start:stop] = mags @ weights
+        out[start:stop] = _band_magnitudes(frames[start:stop], scratch[: stop - start]) @ weights
     return Spectrogram(
         frames=np.log1p(out),
-        hop_seconds=HOP_SIZE / SAMPLE_RATE,
-        bin_frequencies=bin_frequencies(),
-    )
-
-
-def dump_spectrogram(path, spec: Spectrogram) -> None:
-    """Write frames as little-endian float32 behind a 16-byte header."""
-    w, b = spec.frames.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _DUMP_MAGIC, w, b, 0))
-        fh.write(spec.frames.astype("<f4").tobytes())
-
-
-def read_spectrogram(path) -> Spectrogram:
-    with open(path, "rb") as fh:
-        magic, w, b, _ = struct.unpack("<4sIII", fh.read(16))
-        if magic != _DUMP_MAGIC:
-            raise UnsupportedFormat("not a spectrogram dump")
-        frames = np.frombuffer(fh.read(w * b * 4), dtype="<f4").reshape(w, b)
-    return Spectrogram(
-        frames=frames.astype(np.float64),
         hop_seconds=HOP_SIZE / SAMPLE_RATE,
         bin_frequencies=bin_frequencies(),
     )

@@ -18,11 +18,12 @@ incoming loss gradient to it.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
+
+from .atomic import atomic_open
 
 BN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"PSCK"
@@ -655,25 +656,18 @@ def save_checkpoint(
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            fh.write(struct.pack("<32s", vocab_hash))
-            fh.write(struct.pack("<I", len(params.tensors)))
-            for name, array in params.tensors.items():
-                _write_tensor(fh, name, array)
-            fh.write(struct.pack("<I", len(velocity)))
-            for name in params.trainable:
-                _write_tensor(fh, name, velocity[name])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        fh.write(struct.pack("<32s", vocab_hash))
+        fh.write(struct.pack("<I", len(params.tensors)))
+        for name, array in params.tensors.items():
+            _write_tensor(fh, name, array)
+        fh.write(struct.pack("<I", len(velocity)))
+        for name in params.trainable:
+            _write_tensor(fh, name, velocity[name])
 
 
 def _check_tensors(kind: str, tensors: dict, shapes: dict) -> None:

@@ -47,6 +47,27 @@ def test_build_manifest_integrity(tiny_dataset):
         assert s.duration_s > 0
 
 
+def test_interrupted_manifest_write_keeps_previous_file(tiny_dataset, tmp_path, monkeypatch):
+    samples = cli.read_manifest(tiny_dataset["manifest"])
+    path = tmp_path / "manifest.jsonl"
+    cli.write_manifest(path, samples[:2])
+    before = path.read_bytes()
+    rows = []
+    real_asdict = cli.dataclasses.asdict
+
+    def failing_asdict(sample):
+        if len(rows) == 3:
+            raise OSError("disk full")
+        rows.append(sample.id)
+        return real_asdict(sample)
+
+    monkeypatch.setattr(cli.dataclasses, "asdict", failing_asdict)
+    with pytest.raises(OSError):
+        cli.write_manifest(path, samples)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.jsonl"]
+
+
 def test_build_no_score_spans_two_splits(tiny_dataset):
     samples = cli.read_manifest(tiny_dataset["manifest"])
     by_source: dict[str, set] = {}

@@ -51,6 +51,27 @@ def test_vocabulary_file_round_trip(tmp_path):
     assert again.sha256() == vocab.sha256()
 
 
+def test_interrupted_vocabulary_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "vocab.txt"
+    codec.build_vocabulary([_doc("**kern\n4c\n*-\n")]).save(path)
+    before = path.read_bytes()
+    vocab = codec.build_vocabulary(list(fixture_documents().values()))
+    escaped = []
+    real_escape = codec._escape
+
+    def failing_escape(symbol):
+        if len(escaped) == 3:
+            raise OSError("disk full")
+        escaped.append(symbol)
+        return real_escape(symbol)
+
+    monkeypatch.setattr(codec, "_escape", failing_escape)
+    with pytest.raises(OSError):
+        vocab.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
 def test_encode_four_voice_quarter_row():
     doc = _doc(
         "**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n*-\t*-\t*-\t*-\n"

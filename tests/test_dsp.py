@@ -1,4 +1,3 @@
-import struct
 import wave
 
 import numpy as np
@@ -63,6 +62,23 @@ def test_load_wav_rejects_8_bit(tmp_path):
         fh.writeframes(bytes(100))
     with pytest.raises(dsp.UnsupportedFormat):
         dsp.load_wav(path)
+
+
+def test_interrupted_wav_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "clip.wav"
+    dsp.write_wav(path, np.full(3000, 0.25))
+    before = path.read_bytes()
+    real_write = wave.Wave_write.writeframesraw
+
+    def failing_write(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(wave.Wave_write, "writeframesraw", failing_write)
+    with pytest.raises(OSError):
+        dsp.write_wav(path, np.full(5000, -0.5))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.wav"]
 
 
 def test_write_read_round_trip(tmp_path):
@@ -139,6 +155,42 @@ def test_amplitude_doubling_increases_nonzero_cells():
     assert np.all(b[mask] > a[mask])
 
 
+def _zero_padded_reference(samples):
+    """The frontend as a zero-padded FFT of every frame, kept as the oracle."""
+    k_lo, k_hi, weights = dsp._log_mapping()
+    frames = np.lib.stride_tricks.sliding_window_view(samples, dsp.WINDOW_SIZE)[:: dsp.HOP_SIZE]
+    spectrum = np.fft.rfft(frames * np.hamming(dsp.WINDOW_SIZE), n=dsp.FFT_SIZE, axis=1)
+    return np.log1p(np.abs(spectrum[:, k_lo:k_hi]) @ weights)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
+def test_band_transform_matches_zero_padded_fft(width):
+    n = dsp.WINDOW_SIZE + (width - 1) * dsp.HOP_SIZE
+    t = np.arange(n) / dsp.SAMPLE_RATE
+    signals = {
+        "noise": np.random.default_rng(width).uniform(-0.9, 0.9, size=n),
+        "tone": 0.5 * np.sin(2 * np.pi * 440.0 * t),
+        "silence": np.zeros(n),
+    }
+    for name, x in signals.items():
+        spec = dsp.stft_logfreq(dsp.AudioClip(x))
+        assert spec.frames.shape == (width, dsp.N_BINS), name
+        assert np.max(np.abs(spec.frames - _zero_padded_reference(x))) < 1e-12, name
+
+
+def test_band_transform_against_direct_dft():
+    k_lo, k_hi, _ = dsp._log_mapping()
+    x = np.random.default_rng(3).normal(size=dsp.WINDOW_SIZE)
+    scratch = np.empty((1, dsp._CHIRP_SIZE), dtype=np.complex128)
+    band = dsp._band_magnitudes(x[None, :], scratch)[0]
+    assert band.shape == (k_hi - k_lo,)
+    y = x * np.hamming(dsp.WINDOW_SIZE)
+    n = np.arange(dsp.WINDOW_SIZE)
+    for k in (k_lo, k_lo + 1, 1000, 2048, k_hi - 1):
+        direct = abs(np.sum(y * np.exp(-2j * np.pi * k * n / dsp.FFT_SIZE)))
+        assert band[k - k_lo] == pytest.approx(direct, rel=1e-12), k
+
+
 def test_fft_against_naive_dft():
     rng = np.random.default_rng(2)
     for n in (8, 16, 64, 128, 256):
@@ -148,19 +200,6 @@ def test_fft_against_naive_dft():
         naive = (x[None, :] * np.exp(-2j * np.pi * k * m / n)).sum(axis=1)
         fast = np.fft.rfft(x)
         assert np.max(np.abs(fast - naive)) < 1e-9 * max(1.0, np.max(np.abs(naive)))
-
-
-def test_spectrogram_dump_round_trip(tmp_path):
-    t = np.arange(22050) / 22050
-    spec = dsp.stft_logfreq(dsp.AudioClip(0.4 * np.sin(2 * np.pi * 440 * t)))
-    path = tmp_path / "spec.bin"
-    dsp.dump_spectrogram(path, spec)
-    raw = path.read_bytes()
-    magic, w, b, reserved = struct.unpack("<4sIII", raw[:16])
-    assert magic == b"LFSG" and (w, b) == spec.frames.shape and reserved == 0
-    assert len(raw) == 16 + w * b * 4
-    again = dsp.read_spectrogram(path)
-    assert np.allclose(again.frames, spec.frames, atol=1e-6)
 
 
 def test_audio_clip_validation():
