@@ -157,7 +157,7 @@ def read_manifest(path) -> list[Sample]:
                 line = line.strip()
                 if line:
                     samples.append(Sample(**json.loads(line)))
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     for s in samples:
         if not all(isinstance(v, str) for v in (s.id, s.audio, s.tokens, s.split)):
@@ -224,7 +224,7 @@ def cmd_build(config: RunConfig) -> int:
         try:
             doc = kern.parse_kern(path.read_text(encoding="utf-8"), source=path.name)
             docs.append((path.name, kern.preprocess(doc)))
-        except (kern.KernError, UnicodeDecodeError) as exc:
+        except (kern.KernError, UnicodeDecodeError, OSError) as exc:
             failures += 1
             _diag(f"build: skipping {path.name}: {exc}")
     if not docs:
@@ -277,6 +277,7 @@ def cmd_build(config: RunConfig) -> int:
     vocab.save(out / VOCAB_FILENAME)
 
     samples: list[Sample] = []
+    tones: dict = {}  # note cache shared by every fragment of this build
     for sample_id, split, doc in fragments:
         tempo_label = _resolve_tempo_label(doc, config.default_tempo)
         tempo_seed = _subseed(config.seed, "tempo", sample_id) if config.tempo_jitter else None
@@ -287,7 +288,7 @@ def cmd_build(config: RunConfig) -> int:
             failures += 1
             _diag(f"build: skipping {sample_id}: {exc}")
             continue
-        audio = synth.render(doc, tempo, _voices_for(config, doc.spine_count))
+        audio = synth.render(doc, tempo, _voices_for(config, doc.spine_count), tones)
         duration = audio.size / dsp.SAMPLE_RATE
         if duration > config.effective_max_duration:
             failures += 1

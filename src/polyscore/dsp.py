@@ -88,7 +88,12 @@ def frame_count(n_samples: int) -> int:
 
 
 def load_wav(path) -> AudioClip:
-    """Read a 16-bit PCM WAV file; stereo is downmixed by channel averaging."""
+    """Read a 16-bit PCM WAV file; stereo is downmixed by channel averaging.
+
+    A path that is not a whole WAV file (truncated or malformed header, data
+    ending inside a frame, a directory) raises UnsupportedFormat; a WAV with
+    no frames raises TooShort.
+    """
     try:
         with wave.open(str(path), "rb") as wav:
             channels = wav.getnchannels()
@@ -96,14 +101,21 @@ def load_wav(path) -> AudioClip:
             rate = wav.getframerate()
             n = wav.getnframes()
             raw = wav.readframes(n)
-    except wave.Error as exc:
-        raise UnsupportedFormat(str(exc)) from exc
+    except (wave.Error, EOFError, RuntimeError, IsADirectoryError) as exc:
+        # wave raises EOFError for a truncated header and RuntimeError for a
+        # chunk size that points past the chunk's end
+        reason = str(exc) or "file ends inside the header"
+        raise UnsupportedFormat(f"cannot read WAV {path}: {reason}") from exc
     if width != 2:
         raise UnsupportedFormat(f"expected 16-bit PCM, got sample width {width}")
     if channels not in (1, 2):
         raise UnsupportedFormat(f"expected mono or stereo, got {channels} channels")
     if rate != SAMPLE_RATE:
         raise WrongSampleRate(f"expected {SAMPLE_RATE} Hz, got {rate}")
+    if len(raw) % (width * channels):
+        raise UnsupportedFormat(f"data of {path} ends inside a frame ({len(raw)} bytes)")
+    if not raw:
+        raise TooShort(f"{path} holds no audio frames")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)

@@ -3,6 +3,14 @@
 Each voice is a sum of harmonic sines under an exponential decay envelope.
 Good enough to give every note a clean pitch and duration footprint; timbre
 realism is not a goal.
+
+A note's waveform depends only on its voice spec, its frequency and its
+length, never on tempo or onset, and a shorter note is a prefix of a longer
+one. ``render`` therefore keeps the waveforms it synthesizes in a note cache
+keyed by (voice spec, frequency) and slices them for every later note. The
+caller owns the cache: ``cli.cmd_build`` passes one dict to every fragment of
+a build and drops it when the build returns, so its memory is bounded by the
+number of distinct (voice spec, pitch) pairs times the longest note.
 """
 from __future__ import annotations
 
@@ -101,12 +109,29 @@ def _spine_seconds(doc: KernDocument, spine: int, tempo: TempoMark) -> float:
     )
 
 
-def render(doc: KernDocument, tempo: TempoMark, voices=None) -> np.ndarray:
+def _note_wave(voice: SynthVoiceSpec, freq: float, length: int) -> np.ndarray:
+    """Decaying harmonic tone of one note, ``length`` samples from its attack."""
+    t = np.arange(length, dtype=np.float64) / SAMPLE_RATE
+    envelope = np.exp(-t / voice.decay_seconds)
+    tone = np.zeros_like(t)
+    for k, amp in enumerate(voice.harmonic_amplitudes, start=1):
+        if amp > 0 and k * freq < SAMPLE_RATE / 2.0:
+            tone += amp * np.sin(2.0 * np.pi * k * freq * t)
+    return tone * envelope
+
+
+def render(doc: KernDocument, tempo: TempoMark, voices=None, tones=None) -> np.ndarray:
     """Render a preprocessed document to mono samples at 22050 Hz.
 
     One voice spec per spine; tied notes sound as a single attack spanning
     their combined duration. The mix is peak-normalized to 0.9 (silence stays
     silent).
+
+    ``tones`` is the note cache: a dict from (voice spec, frequency) to the
+    longest waveform synthesized so far for that pair. A note reads the first
+    samples of its entry, and an entry shorter than the note is resynthesized
+    at the note's length. Pass one dict to several calls to share their notes;
+    the output is the same as with a fresh dict, which is the default.
     """
     if voices is None:
         voices = voices_for(doc.spine_count)
@@ -114,23 +139,21 @@ def render(doc: KernDocument, tempo: TempoMark, voices=None) -> np.ndarray:
         raise VoiceCountMismatch(
             f"{len(voices)} voice specs for {doc.spine_count} spines"
         )
+    if tones is None:
+        tones = {}
     total = max((_spine_seconds(doc, s, tempo) for s in range(doc.spine_count)), default=0.0)
     n = int(round(total * SAMPLE_RATE))
     mix = np.zeros(n, dtype=np.float64)
-    nyquist = SAMPLE_RATE / 2.0
     for spine, voice in enumerate(voices):
         for start, dur, freq in _spine_notes(doc, spine, tempo):
             s0 = int(round(start * SAMPLE_RATE))
             s1 = min(int(round((start + dur) * SAMPLE_RATE)), n)
             if s1 <= s0:
                 continue
-            t = np.arange(s1 - s0, dtype=np.float64) / SAMPLE_RATE
-            envelope = np.exp(-t / voice.decay_seconds)
-            tone = np.zeros_like(t)
-            for k, amp in enumerate(voice.harmonic_amplitudes, start=1):
-                if amp > 0 and k * freq < nyquist:
-                    tone += amp * np.sin(2.0 * np.pi * k * freq * t)
-            mix[s0:s1] += tone * envelope
+            wave = tones.get((voice, freq))
+            if wave is None or wave.size < s1 - s0:
+                wave = tones[voice, freq] = _note_wave(voice, freq, s1 - s0)
+            mix[s0:s1] += wave[: s1 - s0]
     peak = np.max(np.abs(mix)) if n else 0.0
     if peak > 0:
         mix *= PEAK_LEVEL / peak

@@ -1,9 +1,12 @@
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from _toycorpus import make_corpus
 from polyscore import cli, codec, dsp, net
@@ -95,6 +98,29 @@ def test_build_deterministic_across_directories(tmp_path):
     for rec in cli.read_manifest(a / "manifest.jsonl"):
         assert (a / rec.audio).read_bytes() == (b / rec.audio).read_bytes()
         assert (a / rec.tokens).read_bytes() == (b / rec.tokens).read_bytes()
+
+
+def test_rebuild_writes_identical_wavs(tmp_path):
+    # each build synthesizes its notes into its own cache; a second build must not differ
+    make_corpus(tmp_path / "corpus", n_scores=4, seed=4, two_voice_every=2)
+    config = cli.RunConfig.from_file(_write_config(tmp_path))
+    config.validate()
+    wavs = []
+    for _ in range(2):
+        assert cli.cmd_build(config) == 0
+        data = Path(config.out_dir)
+        wavs.append({p.name: p.read_bytes() for p in sorted((data / "audio").glob("*.wav"))})
+        shutil.rmtree(data)
+    assert wavs[0] and wavs[0] == wavs[1]
+
+
+def test_build_skips_directory_named_like_a_score(tmp_path, capsys):
+    make_corpus(tmp_path / "corpus", n_scores=3, seed=2, two_voice_every=0)
+    (tmp_path / "corpus" / "folder.krn").mkdir()
+    assert cli.main(["build", "--config", str(_write_config(tmp_path))]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "build: skipping folder.krn" in captured.err
+    assert ", 1 skipped" in captured.out
 
 
 def test_build_missing_corpus_exits_with_data_error(tmp_path):
@@ -425,3 +451,82 @@ def test_evaluate_skips_sample_with_malformed_tokens(tiny_dataset, tmp_path, cap
     assert rc == cli.EXIT_OK
     assert samples[0].id in captured.err
     assert f"samples {len(samples) - 1} " in captured.out
+
+
+def test_non_utf8_manifest_is_data_error(tiny_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset["manifest"].parent, data)
+    manifest = data / "manifest.jsonl"
+    manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+    config_path = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config_path), "--manifest", str(manifest)]) == cli.EXIT_DATA
+    checkpoint = str(tiny_dataset["checkpoint_dir"] / "best.ckpt")
+    evaluate = ["evaluate", "--checkpoint", checkpoint, "--manifest", str(manifest), "--split", "train"]
+    assert cli.main(evaluate) == cli.EXIT_DATA
+
+
+def _write_unreadable_wav(path, damage):
+    """Write one kind of WAV input that load_wav must reject; returns the exception it raises."""
+    path.unlink(missing_ok=True)
+    if damage == "directory":
+        path.mkdir()
+        return dsp.UnsupportedFormat
+    dsp.write_wav(path, np.zeros(0 if damage == "zero_frames" else 4096))
+    data = path.read_bytes()
+    damaged, error = {
+        "truncated_20_bytes": (data[:20], dsp.UnsupportedFormat),
+        "empty": (b"", dsp.UnsupportedFormat),
+        "header_only": (data[:44], dsp.TooShort),
+        "zero_frames": (data, dsp.TooShort),
+        "odd_data_bytes": (data[:-1], dsp.UnsupportedFormat),
+    }[damage]
+    path.write_bytes(damaged)
+    return error
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["truncated_20_bytes", "empty", "header_only", "zero_frames", "odd_data_bytes", "directory"],
+)
+def test_unreadable_wav_exits_data_error(tiny_dataset, tmp_path, capsys, damage):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset["manifest"].parent, data)
+    samples = [s for s in cli.read_manifest(data / "manifest.jsonl") if s.split == "train"]
+    wav = data / samples[0].audio
+    with pytest.raises(_write_unreadable_wav(wav, damage)):
+        dsp.load_wav(wav)
+    checkpoint = str(tiny_dataset["checkpoint_dir"] / "best.ckpt")
+    assert cli.main(["transcribe", str(wav), "--checkpoint", checkpoint]) == cli.EXIT_DATA
+    capsys.readouterr()
+    # evaluate skips the sample and scores the rest
+    manifest = str(data / "manifest.jsonl")
+    assert cli.main(["evaluate", "--checkpoint", checkpoint, "--manifest", manifest, "--split", "train"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert f"evaluate: skipping {samples[0].id}" in captured.err
+    assert f"samples {len(samples) - 1} " in captured.out
+
+
+_FUZZ_SAMPLES = 6000  # 8 analysis frames
+_FUZZ_BYTES = 44 + 2 * _FUZZ_SAMPLES  # header and 16-bit mono data
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(20261018)
+@given(
+    cut=st.one_of(st.none(), st.integers(0, _FUZZ_BYTES)),
+    # one_of biases the flipped bits toward the 44-byte header
+    flips=st.lists(st.one_of(st.integers(0, 44 * 8 - 1), st.integers(0, _FUZZ_BYTES * 8 - 1)), max_size=6),
+)
+def test_damaged_wav_stays_inside_exit_codes(tiny_dataset, cut, flips):
+    # truncated or bit-flipped WAVs: transcribe exits 0, 2 or 3 and raises nothing
+    checkpoint = str(tiny_dataset["checkpoint_dir"] / "best.ckpt")
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = Path(tmp) / "damaged.wav"
+        dsp.write_wav(wav, 0.5 * np.sin(0.05 * np.arange(_FUZZ_SAMPLES)))
+        data = bytearray(wav.read_bytes()[:cut])
+        for bit in flips:
+            if bit // 8 < len(data):
+                data[bit // 8] ^= 1 << (bit % 8)
+        wav.write_bytes(bytes(data))
+        rc = cli.main(["transcribe", str(wav), "--checkpoint", checkpoint])
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_MODEL)

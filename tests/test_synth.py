@@ -114,3 +114,29 @@ def test_rest_advances_time():
     assert audio.size == 3 * 22050
     mid = audio[22050 + 2000 : 2 * 22050 - 2000]
     assert np.all(mid == 0.0)
+
+
+def test_shared_note_cache_matches_fresh_renders():
+    voice = synth.SynthVoiceSpec((1.0, 0.5), 2.0)
+    same = synth.SynthVoiceSpec((1, 0.5), 2)  # equal by value to voice, another object
+    other = synth.SynthVoiceSpec((1.0, 0.1), 2.0)  # same decay, other harmonics
+    tempo = kern.TempoMark("sixty", 60.0)
+    a4 = 440.0
+    tones = {}
+    # (document, voices, samples of the cached A4 of voice after rendering it)
+    cases = [
+        (_doc("**kern\n8a\n4c\n*-\n"), [voice], 11025),  # short A4 first
+        (_doc("**kern\n[2a\n2a]\n=\n4a\n*-\n"), [voice], 4 * 22050),  # tie-merged: the entry grows
+        (_doc("**kern\t**kern\n2a\t4a\n.\t4c\n*-\t*-\n"), [voice, same], 4 * 22050),  # equal specs share
+        (_doc("**kern\n1a\n*-\n"), [other], 4 * 22050),  # same pitch, other harmonics
+        (_doc("**kern\n4a\n*-\n"), [voice], 4 * 22050),  # a prefix of the grown entry
+    ]
+    for doc, voices, cached in cases:
+        shared = synth.render(doc, tempo, voices, tones)
+        assert np.array_equal(shared, synth.render(doc, tempo, voices))
+        assert tones[voice, a4].size == cached
+    # voice and same are one key; other has its own entry; C4 was heard once
+    assert len(tones) == 3
+    assert tones[same, a4] is tones[voice, a4]
+    assert tones[other, a4].size == 4 * 22050
+    assert not np.array_equal(tones[other, a4], tones[voice, a4])
