@@ -6,6 +6,14 @@ frequency grid, only at the grid bins the log bins use. Those magnitudes are
 aggregated onto 240 geometrically spaced bins covering C2 up to (but
 excluding) C7 at 48 bins per octave, anchored so that the A4 bin sits exactly
 at 440 Hz. Magnitudes are compressed as ``log(1 + m)``.
+
+Each log bin averages the grid bins under a triangle between its two
+neighbours, so over 99% of the (grid bin, log bin) weights are zero. The
+aggregation multiplies by one dense block per octave instead of the whole
+matrix; a block covers only the grid bins under its 48 log bins, a fifth of
+the multiply-adds in all. Dropping the zero terms can move the float64 sums
+in their last bits, well inside the 1e-12 the tests hold the frontend to
+against a zero-padded FFT.
 """
 from __future__ import annotations
 
@@ -160,6 +168,27 @@ def _log_mapping() -> tuple[int, int, np.ndarray]:
     return _mapping_cache["weights"]
 
 
+def _octave_blocks() -> list[tuple[slice, slice, np.ndarray]]:
+    """The aggregation weights cut into one dense block per octave of log bins.
+
+    Each entry is ``(grid rows, log-bin columns, weights[rows, columns])``:
+    the columns are one octave's 48 bins and the rows the span of band grid
+    bins (offsets from k_lo) that carry a nonzero weight for any of them.
+    Every weight outside the blocks is zero, so ``band @ weights`` equals the
+    blocks' products side by side at about a fifth of the multiply-adds.
+    """
+    if "blocks" not in _mapping_cache:
+        _, _, weights = _log_mapping()
+        blocks = []
+        for first in range(0, N_BINS, BINS_PER_OCTAVE):
+            cols = slice(first, first + BINS_PER_OCTAVE)
+            used = np.flatnonzero(weights[:, cols].any(axis=1))
+            rows = slice(int(used[0]), int(used[-1]) + 1)
+            blocks.append((rows, cols, np.ascontiguousarray(weights[rows, cols])))
+        _mapping_cache["blocks"] = blocks
+    return _mapping_cache["blocks"]
+
+
 def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
     """Pre-chirp and chirp spectrum of the band transform (Bluestein's algorithm).
 
@@ -212,13 +241,15 @@ def stft_logfreq(clip: AudioClip) -> Spectrogram:
     width = frame_count(n)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, WINDOW_SIZE)[::HOP_SIZE]
     frames = frames[:width]
-    _, _, weights = _log_mapping()
+    blocks = _octave_blocks()
     out = np.empty((width, N_BINS), dtype=np.float64)
     chunk = 64  # bound the (chunk, _CHIRP_SIZE) complex scratch
     scratch = np.empty((min(chunk, width), _CHIRP_SIZE), dtype=np.complex128)
     for start in range(0, width, chunk):
         stop = min(start + chunk, width)
-        out[start:stop] = _band_magnitudes(frames[start:stop], scratch[: stop - start]) @ weights
+        band = _band_magnitudes(frames[start:stop], scratch[: stop - start])
+        for rows, cols, block in blocks:
+            np.matmul(band[:, rows], block, out=out[start:stop, cols])
     return Spectrogram(
         frames=np.log1p(out),
         hop_seconds=HOP_SIZE / SAMPLE_RATE,

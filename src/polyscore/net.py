@@ -248,98 +248,138 @@ def _bn_backward(dy, cache):
 
 
 def _lstm_forward(xp, wh):
-    """Both directions at once over stacked (2, B, T, 4H) input projections.
+    """Both directions at once over time-major (T, 2, B, 4H) input projections.
 
-    Gate blocks within the 4H axis are [i, f, o, g]; stacks carry the forward
-    direction at index 0 and the backward direction at index 1.
+    Gate blocks within the 4H axis are [i, f, o, g]; the direction axis holds
+    the forward direction at index 0 and the backward direction at index 1,
+    and ``wh`` is the (2, H, 4H) stack of their recurrent weights.
+
+    ``xp`` becomes the gate cache: step t's projection is overwritten with
+    its activated gates. Train and eval share this one recurrence; eval drops
+    the cache. The cache is time-major, so each step reads and writes one
+    contiguous (2, B, .) slice of every array:
+
+    - ``h_all``, ``c_all``: (T + 1, 2, B, H) hidden and cell states, row 0 the
+      zero initial state;
+    - ``gates``: (T, 2, B, 4H) activated gates [i, f, o, g] (``xp`` itself);
+    - ``tanh_c``: (T, 2, B, H), tanh of each step's cell state;
+    - ``wh`` as given.
+
+    Returns the (T, 2, B, H) hidden outputs and the cache.
     """
-    _, n, length, four_h = xp.shape
+    length, _, n, four_h = xp.shape
     h_units = four_h // 4
-    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)), so one tanh call serves all four gates
-    scale = np.ones(four_h, dtype=xp.dtype)
-    scale[: 3 * h_units] = 0.5
-    h_all = np.zeros((2, n, length + 1, h_units), dtype=xp.dtype)
-    c_all = np.zeros((2, n, length + 1, h_units), dtype=xp.dtype)
-    gates = np.empty((2, n, length, four_h), dtype=xp.dtype)
-    tanh_c = np.empty((2, n, length, h_units), dtype=xp.dtype)
-    h = h_all[:, :, 0]
-    c = c_all[:, :, 0]
+    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)), so one tanh call serves all four
+    # gates; halving is exact, so it is folded into the operands once
+    xp[..., : 3 * h_units] *= 0.5
+    wh_half = wh.copy()
+    wh_half[..., : 3 * h_units] *= 0.5
+    h_all = np.zeros((length + 1, 2, n, h_units), dtype=xp.dtype)
+    c_all = np.zeros((length + 1, 2, n, h_units), dtype=xp.dtype)
+    tanh_c = np.empty((length, 2, n, h_units), dtype=xp.dtype)
+    recurrent = np.empty((2, n, four_h), dtype=xp.dtype)
+    input_cand = np.empty((2, n, h_units), dtype=xp.dtype)
     for t in range(length):
-        a = np.tanh((xp[:, :, t] + h @ wh) * scale, out=gates[:, :, t])
-        a[..., : 3 * h_units] += 1.0
-        a[..., : 3 * h_units] *= 0.5
-        c = a[..., h_units : 2 * h_units] * c + a[..., :h_units] * a[..., 3 * h_units :]
-        c_all[:, :, t + 1] = c
-        tc = np.tanh(c, out=tanh_c[:, :, t])
-        h = np.multiply(a[..., 2 * h_units : 3 * h_units], tc, out=h_all[:, :, t + 1])
-    return h_all[:, :, 1:], (h_all, c_all, gates, tanh_c, wh)
+        a = xp[t]
+        a += np.matmul(h_all[t], wh_half, out=recurrent)
+        np.tanh(a, out=a)
+        sig = a[..., : 3 * h_units]
+        sig += 1.0
+        sig *= 0.5
+        c = np.multiply(a[..., h_units : 2 * h_units], c_all[t], out=c_all[t + 1])
+        c += np.multiply(a[..., :h_units], a[..., 3 * h_units :], out=input_cand)
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(a[..., 2 * h_units : 3 * h_units], tanh_c[t], out=h_all[t + 1])
+    return h_all[1:], (h_all, c_all, xp, tanh_c, wh)
 
 
 def _lstm_backward(dh_out, cache):
-    """Gradients for (2, B, T, H) upstream gradients: (d input projections, d wh).
+    """Gradients for (T, 2, B, H) upstream gradients: (d input projections, d wh).
 
-    No mask is needed for padded tails: their upstream gradient is zero, so
-    the running dh/dc stay exactly zero until each clip's last valid frame.
+    The input-projection gradients come back time-major, (T, 2, B, 4H). No
+    mask is needed for padded tails: their upstream gradient is zero, so the
+    running dh/dc stay exactly zero until each clip's last valid frame.
     """
     h_all, c_all, gates, tanh_c, wh = cache
-    _, n, length, h_units = dh_out.shape
+    length, _, n, h_units = dh_out.shape
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
     i = gates[..., :h_units]
     f = gates[..., h_units : 2 * h_units]
     o = gates[..., 2 * h_units : 3 * h_units]
     g = gates[..., 3 * h_units :]
     # factor everything that does not depend on the running dc/dh out of the
-    # loop: dz = [dc, dc, dh, dc] * factors, block by block
-    factors = np.concatenate(
-        [g * i * (1.0 - i), c_all[:, :, :-1] * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g * g)],
+    # loop; each step scales its factors in place: dz = factors * [dc, dc, dh, dc]
+    dz_all = np.concatenate(
+        [g * i * (1.0 - i), c_all[:-1] * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g * g)],
         axis=3,
     )
     b_c = o * (1.0 - tanh_c * tanh_c)
-    dz_all = np.empty((2, n, length, 4 * h_units), dtype=dh_out.dtype)
+    dh = np.empty((2, n, h_units), dtype=dh_out.dtype)
+    dc = np.empty((2, n, h_units), dtype=dh_out.dtype)
+    spread = np.empty((2, n, 4 * h_units), dtype=dh_out.dtype)
     dh_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
     dc_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
     for t in range(length - 1, -1, -1):
-        dh = dh_out[:, :, t] + dh_next
-        dc = dh * b_c[:, :, t] + dc_next
-        dz = np.multiply(np.concatenate([dc, dc, dh, dc], axis=2), factors[:, :, t], out=dz_all[:, :, t])
-        dc_next = dc * f[:, :, t]
-        dh_next = dz @ wh_t
-    h_prev = h_all[:, :, :-1].reshape(2, n * length, h_units)
-    dwh = h_prev.transpose(0, 2, 1) @ dz_all.reshape(2, n * length, 4 * h_units)
+        np.add(dh_out[t], dh_next, out=dh)
+        np.multiply(dh, b_c[t], out=dc)
+        dc += dc_next
+        dz = dz_all[t]
+        dz *= np.concatenate((dc, dc, dh, dc), axis=2, out=spread)
+        np.multiply(dc, f[t], out=dc_next)
+        np.matmul(dz, wh_t, out=dh_next)
+    # dwh sums its (clip, step) rows clip-major; that fixed order fixes the
+    # rounding of every trained checkpoint
+    h_prev = h_all[:-1].transpose(1, 2, 0, 3).reshape(2, n * length, h_units)
+    dz_rows = dz_all.transpose(1, 2, 0, 3).reshape(2, n * length, 4 * h_units)
+    dwh = h_prev.transpose(0, 2, 1) @ dz_rows
     return dz_all, dwh
 
 
-def _reversal(steps: np.ndarray, length: int) -> np.ndarray:
-    """(B, T) gather index reversing each clip's valid frames; padding stays put.
+def _time_major(steps: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row gathers between batch-major (B, T, 2) and time-major (T, 2, B) layouts.
 
-    The permutation is its own inverse, and it keeps every padded frame after
-    the valid ones, so the backward direction also reads its clip first.
+    Direction 0 runs over each clip's frames in order. Direction 1 runs over
+    its valid frames in reverse, with the padding after them in place, so
+    the backward direction also reads its clip first. Returns
+    ``(to_time, to_batch)``, two inverse permutations: ``rows[to_time]``
+    turns rows laid out (clip, frame, direction) into (step, direction,
+    clip), and ``rows[to_batch]`` turns them back.
     """
+    n = len(steps)
     t = np.arange(length)
-    return np.where(t < steps[:, None], steps[:, None] - 1 - t, t)
+    rev = np.where(t < steps[:, None], steps[:, None] - 1 - t, t)
+    # (B, T, 2) partner of time index t in each direction: direction 1 reads
+    # frame rev[b, t] at step t and, rev being its own inverse, frame t at
+    # step rev[b, t]
+    partner = np.stack([np.broadcast_to(t, rev.shape), rev], axis=2)
+    direction = np.arange(2)
+    clip = np.arange(n)[:, None, None]
+    to_time = ((clip * length + partner) * 2 + direction).transpose(1, 2, 0)
+    to_batch = (partner * 2 + direction) * n + clip
+    return to_time, to_batch
 
 
-def _bilstm_forward(x, params, name, rev):
-    """Bidirectional layer over (B, T, I) input; ``rev`` from :func:`_reversal`."""
+def _bilstm_forward(x, params, name, order):
+    """Bidirectional layer over (B, T, I) input; ``order`` from :func:`_time_major`."""
     n, length, inputs = x.shape
+    to_time, to_batch = order
     wx = np.concatenate([params[f"{name}_fwd_wx"], params[f"{name}_bwd_wx"]], axis=1)
     b = np.concatenate([params[f"{name}_fwd_b"], params[f"{name}_bwd_b"]])
     wh = np.stack([params[f"{name}_fwd_wh"], params[f"{name}_bwd_wh"]])
-    # one projection for both directions, then the backward half in reversed time
-    proj = (x.reshape(-1, inputs) @ wx + b).reshape(n, length, 2, -1)
-    rows = np.arange(n)[:, None]
-    h_both, cache = _lstm_forward(np.stack([proj[:, :, 0], proj[rows, rev, 1]]), wh)
-    y = np.concatenate([h_both[0], h_both[1][rows, rev]], axis=2)
-    return y, (cache, name, rev, x, wx)
+    h_units = wh.shape[1]
+    # one projection for both directions, gathered straight into time-major order
+    proj = (x.reshape(-1, inputs) @ wx + b).reshape(-1, 4 * h_units)[to_time]
+    h_both, cache = _lstm_forward(proj, wh)
+    y = h_both.reshape(-1, h_units)[to_batch].reshape(n, length, 2 * h_units)
+    return y, (cache, name, order, x, wx)
 
 
 def _bilstm_backward(dy, cache, grads):
-    lstm_cache, name, rev, x, wx = cache
+    lstm_cache, name, (to_time, to_batch), x, wx = cache
     n, length, inputs = x.shape
-    rows = np.arange(n)[:, None]
     h_units = dy.shape[2] // 2
-    dz, dwh = _lstm_backward(np.stack([dy[..., :h_units], dy[..., h_units:][rows, rev]]), lstm_cache)
-    dproj = np.concatenate([dz[0], dz[1][rows, rev]], axis=2).reshape(n * length, -1)
+    dz, dwh = _lstm_backward(dy.reshape(-1, h_units)[to_time], lstm_cache)
+    dproj = dz.reshape(-1, 4 * h_units)[to_batch].reshape(n * length, -1)
     dwx = x.reshape(-1, inputs).T @ dproj
     db = dproj.sum(axis=0)
     for d, direction in enumerate(("fwd", "bwd")):
@@ -482,9 +522,9 @@ def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", 
         steps = 2 * lengths
         stages.append(("double", None, None))
 
-    rev = _reversal(steps, x.shape[1])
+    order = _time_major(steps, x.shape[1])
     for l in range(config.recurrent_layers):
-        x, cache = _bilstm_forward(x, t, f"rnn{l}", rev)
+        x, cache = _bilstm_forward(x, t, f"rnn{l}", order)
         stages.append(("bilstm", l, cache))
         if l < config.recurrent_layers - 1:
             if train:

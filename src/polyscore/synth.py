@@ -7,10 +7,11 @@ realism is not a goal.
 A note's waveform depends only on its voice spec, its frequency and its
 length, never on tempo or onset, and a shorter note is a prefix of a longer
 one. ``render`` therefore keeps the waveforms it synthesizes in a note cache
-keyed by (voice spec, frequency) and slices them for every later note. The
-caller owns the cache: ``cli.cmd_build`` passes one dict to every fragment of
-a build and drops it when the build returns, so its memory is bounded by the
-number of distinct (voice spec, pitch) pairs times the longest note.
+keyed by (voice spec, frequency) and slices them for every later note; a
+longer note extends its entry by the missing tail alone. The caller owns the
+cache: ``cli.cmd_build`` passes one dict to every fragment of a build and
+drops it when the build returns, so its memory is bounded by the number of
+distinct (voice spec, pitch) pairs times the longest note.
 """
 from __future__ import annotations
 
@@ -109,9 +110,9 @@ def _spine_seconds(doc: KernDocument, spine: int, tempo: TempoMark) -> float:
     )
 
 
-def _note_wave(voice: SynthVoiceSpec, freq: float, length: int) -> np.ndarray:
-    """Decaying harmonic tone of one note, ``length`` samples from its attack."""
-    t = np.arange(length, dtype=np.float64) / SAMPLE_RATE
+def _note_wave(voice: SynthVoiceSpec, freq: float, stop: int, start: int = 0) -> np.ndarray:
+    """One note's decaying harmonic tone at samples ``start..stop-1`` from its attack."""
+    t = np.arange(start, stop, dtype=np.float64) / SAMPLE_RATE
     envelope = np.exp(-t / voice.decay_seconds)
     tone = np.zeros_like(t)
     for k, amp in enumerate(voice.harmonic_amplitudes, start=1):
@@ -129,9 +130,10 @@ def render(doc: KernDocument, tempo: TempoMark, voices=None, tones=None) -> np.n
 
     ``tones`` is the note cache: a dict from (voice spec, frequency) to the
     longest waveform synthesized so far for that pair. A note reads the first
-    samples of its entry, and an entry shorter than the note is resynthesized
-    at the note's length. Pass one dict to several calls to share their notes;
-    the output is the same as with a fresh dict, which is the default.
+    samples of its entry, and an entry shorter than the note is extended by
+    synthesizing only its missing tail. Pass one dict to several calls to
+    share their notes; the output is the same as with a fresh dict, which is
+    the default.
     """
     if voices is None:
         voices = voices_for(doc.spine_count)
@@ -151,8 +153,11 @@ def render(doc: KernDocument, tempo: TempoMark, voices=None, tones=None) -> np.n
             if s1 <= s0:
                 continue
             wave = tones.get((voice, freq))
-            if wave is None or wave.size < s1 - s0:
+            if wave is None:
                 wave = tones[voice, freq] = _note_wave(voice, freq, s1 - s0)
+            elif wave.size < s1 - s0:
+                tail = _note_wave(voice, freq, s1 - s0, wave.size)
+                wave = tones[voice, freq] = np.concatenate((wave, tail))
             mix[s0:s1] += wave[: s1 - s0]
     peak = np.max(np.abs(mix)) if n else 0.0
     if peak > 0:

@@ -207,3 +207,21 @@ def test_audio_clip_validation():
         dsp.AudioClip(np.zeros(10), sample_rate=44100)
     with pytest.raises(ValueError):
         dsp.AudioClip(np.array([]))
+
+
+def test_octave_blocks_reassemble_dense_weights():
+    _, _, weights = dsp._log_mapping()
+    blocks = dsp._octave_blocks()
+    assert len(blocks) == dsp.N_BINS // dsp.BINS_PER_OCTAVE
+    rebuilt = np.zeros_like(weights)
+    hits = np.zeros(weights.shape, dtype=int)
+    for rows, cols, block in blocks:
+        assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
+        rebuilt[rows, cols] += block
+        hits[rows, cols] += block != 0
+    # a block edge that dropped a grid bin would lose that bin's weights here
+    assert np.array_equal(rebuilt, weights)
+    assert np.array_equal(hits, (weights != 0).astype(int))
+    assert [cols for _, cols, _ in blocks] == [
+        slice(first, first + dsp.BINS_PER_OCTAVE) for first in range(0, dsp.N_BINS, dsp.BINS_PER_OCTAVE)
+    ]

@@ -317,6 +317,92 @@ def test_batch_matches_per_clip_runs(dtype, rtol):
         assert _close(grid, net.forward(params, TINY, x, mode="eval"), rtol)
 
 
+def _reference_lstm_forward(xp, wh):
+    """The step loop over (2, B, T, 4H) projections that the time-major recurrence replaced."""
+    _, n, length, four_h = xp.shape
+    h_units = four_h // 4
+    scale = np.ones(four_h, dtype=xp.dtype)
+    scale[: 3 * h_units] = 0.5
+    h_all = np.zeros((2, n, length + 1, h_units), dtype=xp.dtype)
+    c_all = np.zeros((2, n, length + 1, h_units), dtype=xp.dtype)
+    gates = np.empty((2, n, length, four_h), dtype=xp.dtype)
+    tanh_c = np.empty((2, n, length, h_units), dtype=xp.dtype)
+    h = h_all[:, :, 0]
+    c = c_all[:, :, 0]
+    for t in range(length):
+        a = np.tanh((xp[:, :, t] + h @ wh) * scale, out=gates[:, :, t])
+        a[..., : 3 * h_units] += 1.0
+        a[..., : 3 * h_units] *= 0.5
+        c = a[..., h_units : 2 * h_units] * c + a[..., :h_units] * a[..., 3 * h_units :]
+        c_all[:, :, t + 1] = c
+        tc = np.tanh(c, out=tanh_c[:, :, t])
+        h = np.multiply(a[..., 2 * h_units : 3 * h_units], tc, out=h_all[:, :, t + 1])
+    return h_all[:, :, 1:], (h_all, c_all, gates, tanh_c, wh)
+
+
+def _reference_lstm_backward(dh_out, cache):
+    h_all, c_all, gates, tanh_c, wh = cache
+    _, n, length, h_units = dh_out.shape
+    wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
+    i = gates[..., :h_units]
+    f = gates[..., h_units : 2 * h_units]
+    o = gates[..., 2 * h_units : 3 * h_units]
+    g = gates[..., 3 * h_units :]
+    factors = np.concatenate(
+        [g * i * (1.0 - i), c_all[:, :, :-1] * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g * g)],
+        axis=3,
+    )
+    b_c = o * (1.0 - tanh_c * tanh_c)
+    dz_all = np.empty((2, n, length, 4 * h_units), dtype=dh_out.dtype)
+    dh_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
+    dc_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
+    for t in range(length - 1, -1, -1):
+        dh = dh_out[:, :, t] + dh_next
+        dc = dh * b_c[:, :, t] + dc_next
+        dz = np.multiply(np.concatenate([dc, dc, dh, dc], axis=2), factors[:, :, t], out=dz_all[:, :, t])
+        dc_next = dc * f[:, :, t]
+        dh_next = dz @ wh_t
+    h_prev = h_all[:, :, :-1].reshape(2, n * length, h_units)
+    dwh = h_prev.transpose(0, 2, 1) @ dz_all.reshape(2, n * length, 4 * h_units)
+    return dz_all, dwh
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steps", [[13], [7, 4, 9, 11]], ids=["batch1", "padded4"])
+def test_lstm_matches_reference_loops(dtype, steps):
+    rng = np.random.default_rng(len(steps))
+    n, length, h = len(steps), max(steps), 8
+    xp = rng.normal(size=(2, n, length, 4 * h)).astype(dtype)
+    wh = (rng.normal(size=(2, h, 4 * h)) / np.sqrt(h)).astype(dtype)
+    dh_out = rng.normal(size=(2, n, length, h)).astype(dtype)
+    for b, s in enumerate(steps):
+        dh_out[:, b, s:] = 0.0  # padded tails, in both directions' step order
+
+    def time_major(a):
+        return np.ascontiguousarray(a.transpose(2, 0, 1, 3))
+
+    h_ref, ref_cache = _reference_lstm_forward(xp, wh)
+    dz_ref, dwh_ref = _reference_lstm_backward(dh_out, ref_cache)
+    h_out, cache = net._lstm_forward(time_major(xp), wh)
+    dz, dwh = net._lstm_backward(time_major(dh_out), cache)
+    assert np.array_equal(h_out, time_major(h_ref))
+    assert np.array_equal(dz, time_major(dz_ref))
+    assert np.array_equal(dwh, dwh_ref)
+
+
+def test_time_major_order_reverses_valid_frames_only():
+    steps = np.array([3, 5])
+    to_time, to_batch = net._time_major(steps, 5)
+    rows = np.arange(2 * 5 * 2).reshape(2, 5, 2)  # labels of (clip, frame, direction)
+    steps_major = rows.reshape(-1)[to_time]
+    assert steps_major.shape == (5, 2, 2)
+    assert np.array_equal(steps_major[:, 0].T, rows[:, :, 0])
+    # direction 1 reads clip 0's three frames backwards, then its padding
+    assert steps_major[:, 1, 0].tolist() == rows[0, [2, 1, 0, 3, 4], 1].tolist()
+    assert steps_major[:, 1, 1].tolist() == rows[1, [4, 3, 2, 1, 0], 1].tolist()
+    assert np.array_equal(steps_major.reshape(-1)[to_batch], rows)
+
+
 def test_float32_params_give_float32_grads():
     params = tiny_params(dtype=np.float32)
     x = np.random.default_rng(8).random((6, 24))

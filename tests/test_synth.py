@@ -140,3 +140,5 @@ def test_shared_note_cache_matches_fresh_renders():
     assert tones[same, a4] is tones[voice, a4]
     assert tones[other, a4].size == 4 * 22050
     assert not np.array_equal(tones[other, a4], tones[voice, a4])
+    # the entry grew by its tail alone, and reads as one fresh synthesis
+    assert np.array_equal(tones[voice, a4], synth._note_wave(voice, a4, 4 * 22050))
