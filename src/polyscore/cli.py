@@ -325,31 +325,30 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str, ...]):
-    """Load (id, spectrogram, target) triples for the requested splits."""
+    """Load (id, spectrogram frames, target) triples for the requested splits."""
     base = manifest_path.parent
     loaded = {s: [] for s in splits}
     for sample in read_manifest(manifest_path):
         if sample.split not in splits:
             continue
-        clip = dsp.load_wav(base / sample.audio)
-        spec = dsp.stft_logfreq(clip)
+        spec = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames
         target = _read_tokens(base / sample.tokens, vocab)
         loaded[sample.split].append((sample.id, spec, target))
     return loaded
 
 
-def _greedy_tokens(params, model_config, spec, vocab) -> codec.TokenSequence:
-    grid = net.forward(params, model_config, spec, mode="eval")
-    return ctc.collapse(ctc.greedy_decode(grid), vocab)
+def _decode(params, model_config, specs, vocab) -> list[codec.TokenSequence]:
+    """Greedy transcription of each clip's (W, bins) frames, in one eval forward."""
+    grids = net.forward(params, model_config, specs, mode="eval")
+    return [ctc.collapse(ctc.greedy_decode(grid), vocab) for grid in grids]
 
 
 def _validation_rates(params, model_config, vocab, samples, batch_size) -> tuple[float, float]:
     wer_stats, cer_stats = [], []
     for start in range(0, len(samples), batch_size):
         batch = samples[start : start + batch_size]
-        grids = net.forward(params, model_config, [spec for _, spec, _ in batch], mode="eval")
-        for (_, _, target), grid in zip(batch, grids):
-            hyp = ctc.collapse(ctc.greedy_decode(grid), vocab)
+        hyps = _decode(params, model_config, [spec for _, spec, _ in batch], vocab)
+        for (_, _, target), hyp in zip(batch, hyps):
             wer_stats.append(metrics.wer(target, hyp))
             cer_stats.append(metrics.cer(target, hyp))
     return metrics.corpus_rate(wer_stats), metrics.corpus_rate(cer_stats)
@@ -423,7 +422,7 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
                     continue
                 # batch gradient is the sum over samples, not the mean
                 net.sgd_nesterov_step(params, net.backward(cache, grad_logits), velocity, lr)
-                net.update_batchnorm_stats(params, net.average_moments(moments))
+                net.update_batchnorm_stats(params, moments)
             val_wer, val_cer = _validation_rates(
                 params, model_config, vocab, val_samples, config.batch_size
             )
@@ -454,21 +453,15 @@ def _load_model(checkpoint_path):
     if not vocab_path.exists():
         raise DataError(f"vocabulary file {vocab_path} not found next to checkpoint")
     vocab = _read_vocabulary(vocab_path)
-    try:
-        model_config, params, _, _ = net.load_checkpoint(
-            checkpoint_path, expected_vocab_hash=vocab.sha256()
-        )
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {checkpoint_path}: {exc}") from exc
+    model_config, params, _, _ = net.load_checkpoint(checkpoint_path, expected_vocab_hash=vocab.sha256())
     return vocab, model_config, params
 
 
 def cmd_transcribe(checkpoint_path, wav_path) -> int:
     """WAV -> log-posteriors -> greedy collapse -> kern text on stdout."""
     vocab, model_config, params = _load_model(checkpoint_path)
-    clip = dsp.load_wav(wav_path)
-    spec = dsp.stft_logfreq(clip)
-    hyp = _greedy_tokens(params, model_config, spec, vocab)
+    frames = dsp.stft_logfreq(dsp.load_wav(wav_path)).frames
+    (hyp,) = _decode(params, model_config, [frames], vocab)
     try:
         doc = codec.decode(hyp)
     except codec.ScoreSyntaxError as exc:
@@ -495,14 +488,14 @@ def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool, orac
             if oracle:
                 hyp = target
             else:
-                spec = dsp.stft_logfreq(dsp.load_wav(base / sample.audio))
-                hyp = _greedy_tokens(params, model_config, spec, vocab)
+                frames = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames
+                (hyp,) = _decode(params, model_config, [frames], vocab)
         except (
             DataError,
             dsp.UnsupportedFormat,
             dsp.WrongSampleRate,
             dsp.TooShort,
-            FileNotFoundError,
+            OSError,
         ) as exc:
             _diag(f"evaluate: skipping {sample.id}: {exc}")
             continue
@@ -611,7 +604,7 @@ def main(argv=None) -> int:
         dsp.TooShort,
         net.CheckpointError,
         metrics.EmptyReference,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         _diag(f"polyscore: data error: {exc}")
         return EXIT_DATA

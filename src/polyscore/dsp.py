@@ -61,10 +61,6 @@ class AudioClip:
         if self.sample_rate != SAMPLE_RATE:
             raise WrongSampleRate(f"expected {SAMPLE_RATE} Hz, got {self.sample_rate}")
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(eq=False)
 class Spectrogram:
@@ -72,20 +68,10 @@ class Spectrogram:
     hop_seconds: float
     bin_frequencies: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.frames.shape[0]
-
 
 def bin_frequencies() -> np.ndarray:
     """Center frequencies of the 240 bins; index 132 is exactly 440 Hz."""
     return A4_HZ * 2.0 ** ((np.arange(N_BINS) - A4_BIN) / BINS_PER_OCTAVE)
-
-
-def bin_index_for(freq_hz: float) -> int:
-    """Nearest bin index for a frequency, by the geometric grid."""
-    f_c2 = A4_HZ * 2.0 ** (-A4_BIN / BINS_PER_OCTAVE)
-    return int(round(BINS_PER_OCTAVE * np.log2(freq_hz / f_c2)))
 
 
 def frame_count(n_samples: int) -> int:

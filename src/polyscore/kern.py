@@ -121,10 +121,6 @@ class ScoreEvent:
     grace: bool = False
 
     @property
-    def dotted(self) -> bool:
-        return self.dots > 0
-
-    @property
     def midi(self) -> int:
         """MIDI note number (A4 = 69). Notes only."""
         if self.kind != "note":

@@ -101,9 +101,6 @@ class ModelParams:
     tensors: dict[str, np.ndarray]
     trainable: tuple[str, ...]
 
-    def clone(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.trainable)
-
 
 def _uniform(rng, shape, fan_in, dtype):
     bound = 1.0 / np.sqrt(fan_in)
@@ -425,13 +422,12 @@ class TrainCache:
     params: "ModelParams"
     stages: list
     steps: np.ndarray  # output frames per clip
-    batched: bool
-    bn_moments: dict | list  # per-clip (mean, var) by layer; a list for a batch
+    bn_moments: list[dict]  # per clip, (mean, var) by layer
     used: bool = False
 
 
 def _input_frames(spec, bins: int) -> np.ndarray:
-    frames = np.asarray(getattr(spec, "frames", spec))
+    frames = np.asarray(spec)
     if frames.ndim != 2 or frames.shape[1] != bins:
         raise ShapeMismatch(f"expected (W, {bins}) input, got {frames.shape}")
     if frames.shape[0] < 1:
@@ -439,41 +435,41 @@ def _input_frames(spec, bins: int) -> np.ndarray:
     return frames
 
 
-def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", rng_seed=0):
-    """Run the network on one spectrogram or a batch of them.
+def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "eval", rng_seed=()):
+    """Run the network on a batch of spectrograms.
 
     Parameters
     ----------
-    spec : Spectrogram or (W, bins) array, or a list of them
-        Input frames. A list runs as one batch: clips are right-padded to the
-        longest, and each clip's output equals what it gives on its own (up
-        to float summation order).
+    specs : list of (W, bins) arrays
+        Input frames of each clip. The batch runs as one: clips are
+        right-padded to the longest, and each clip's output equals what it
+        gives on its own (up to float summation order).
     mode : {"eval", "train"}
         Train mode applies dropout and returns ``(grids, cache)`` for
         :func:`backward`; eval mode returns the grids alone and is a pure
         function of (params, input).
-    rng_seed : int, or one int per clip for a batch
+    rng_seed : sequence of int
         Dropout seed of each clip in train mode.
 
     Returns
     -------
-    (frames, V) array of per-frame log-posteriors in the parameter dtype (a
-    list of them for a batch), plus a TrainCache in train mode whose
+    A list with one (frames, V) array of per-frame log-posteriors per clip,
+    in the parameter dtype, plus a TrainCache in train mode whose
     ``bn_moments`` holds each clip's batch-norm input moments.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    batched = isinstance(spec, (list, tuple))
-    frames = [_input_frames(s, config.input_bins) for s in (spec if batched else [spec])]
+    if not isinstance(specs, list):
+        raise ShapeMismatch(f"expected a list of clips, got {type(specs).__name__}")
+    frames = [_input_frames(s, config.input_bins) for s in specs]
     if not frames:
         raise ShapeMismatch("need at least one clip")
     train = mode == "train"
     dropout = train and config.dropout_p > 0
     if dropout:
-        seeds = list(rng_seed) if batched else [rng_seed]
-        if len(seeds) != len(frames):
-            raise ValueError(f"need one dropout seed per clip, got {len(seeds)} for {len(frames)}")
-        rngs = [np.random.default_rng(s) for s in seeds]
+        if len(rng_seed) != len(frames):
+            raise ValueError(f"need one dropout seed per clip, got {len(rng_seed)} for {len(frames)}")
+        rngs = [np.random.default_rng(s) for s in rng_seed]
     t = params.tensors
     dtype = t["out_w"].dtype
     n = len(frames)
@@ -545,35 +541,26 @@ def forward(params: ModelParams, config: ModelConfig, spec, mode: str = "eval", 
     log_probs = _log_softmax(logits)
     grids = [log_probs[b, :s] for b, s in enumerate(steps)]
     if not train:
-        return grids if batched else grids[0]
-    cache = TrainCache(
-        params=params,
-        stages=stages,
-        steps=steps,
-        batched=batched,
-        bn_moments=bn_moments if batched else bn_moments[0],
-    )
-    return (grids if batched else grids[0]), cache
+        return grids
+    return grids, TrainCache(params=params, stages=stages, steps=steps, bn_moments=bn_moments)
 
 
-def backward(cache: TrainCache, grad_logits) -> dict[str, np.ndarray]:
+def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
     """Exact loss gradients for every trainable tensor.
 
-    ``grad_logits`` is the upstream gradient with respect to the pre-softmax
-    activations, as produced by the alignment-free loss: one (frames, V)
-    array, or a list with one per clip for a batched forward. Gradients are
-    summed over the batch and carry the parameter dtype whatever the dtype
-    of ``grad_logits``.
+    ``grad_logits`` holds one (frames, V) upstream gradient per clip with
+    respect to the pre-softmax activations, as produced by the
+    alignment-free loss. Gradients are summed over the batch and carry the
+    parameter dtype whatever the dtype of ``grad_logits``.
     """
     if not isinstance(cache, TrainCache) or cache.used:
         raise StaleCache("backward needs a fresh cache from a train-mode forward")
     cache.used = True
     t = cache.params.tensors
     out_w = t["out_w"]
-    per_clip = grad_logits if cache.batched else [grad_logits]
     # padded frames get zero upstream gradient, so they contribute nothing below
     dx = np.zeros((len(cache.steps), int(cache.steps.max()), out_w.shape[1]), dtype=out_w.dtype)
-    for b, (g, s) in enumerate(zip(per_clip, cache.steps, strict=True)):
+    for b, (g, s) in enumerate(zip(grad_logits, cache.steps, strict=True)):
         dx[b, :s] = g
     grads: dict[str, np.ndarray] = {}
     while cache.stages:
@@ -603,23 +590,15 @@ def backward(cache: TrainCache, grad_logits) -> dict[str, np.ndarray]:
     return grads
 
 
-def update_batchnorm_stats(params: ModelParams, moments: dict, momentum: float = 0.1) -> None:
-    """Blend observed activation moments into the running statistics."""
-    for name, (mean, var) in moments.items():
+def update_batchnorm_stats(params: ModelParams, moments: list[dict], momentum: float = 0.1) -> None:
+    """Blend the mean of the clips' activation moments into the running statistics."""
+    for name in moments[0]:
+        mean = np.stack([m[name][0] for m in moments]).mean(axis=0)
+        var = np.stack([m[name][1] for m in moments]).mean(axis=0)
         rm = params.tensors[f"{name}_mean"]
         rv = params.tensors[f"{name}_var"]
         params.tensors[f"{name}_mean"] = ((1 - momentum) * rm + momentum * mean).astype(rm.dtype)
         params.tensors[f"{name}_var"] = ((1 - momentum) * rv + momentum * var).astype(rv.dtype)
-
-
-def average_moments(per_sample: list[dict]) -> dict:
-    """Average per-sample BN moments over a batch."""
-    out: dict = {}
-    for name in per_sample[0]:
-        means = np.stack([m[name][0] for m in per_sample])
-        variances = np.stack([m[name][1] for m in per_sample])
-        out[name] = (means.mean(axis=0), variances.mean(axis=0))
-    return out
 
 
 def sgd_nesterov_step(
@@ -628,7 +607,7 @@ def sgd_nesterov_step(
     velocity: dict[str, np.ndarray],
     lr: float,
     momentum: float = 0.9,
-) -> tuple[ModelParams, dict[str, np.ndarray]]:
+) -> None:
     """In-place Nesterov momentum update.
 
     v <- mu * v + g;  p <- p - lr * (g + mu * v). Updated tensors keep the
@@ -646,7 +625,6 @@ def sgd_nesterov_step(
         v_new = (momentum * v + g).astype(p.dtype)
         velocity[name] = v_new
         params.tensors[name] = (p - lr * (g + momentum * v_new)).astype(p.dtype)
-    return params, velocity
 
 
 def zero_velocity(params: ModelParams) -> dict[str, np.ndarray]:

@@ -62,12 +62,12 @@ def test_criterion_2_gradient_correctness():
     target = [1, 2, 1]
 
     def loss_fn(p):
-        grid, cache = net.forward(p, cfg, x, mode="train", rng_seed=2336)
+        [grid], cache = net.forward(p, cfg, [x], mode="train", rng_seed=[2336])
         loss, upstream = ctc.ctc_loss(grid, target)
         return loss, cache, upstream
 
     loss, cache, upstream = loss_fn(params)
-    grads = net.backward(cache, upstream)
+    grads = net.backward(cache, [upstream])
     worst_net = 0.0
     for name in params.trainable:
         arr = params.tensors[name]
@@ -244,9 +244,9 @@ def test_criterion_7_toy_convergence(toy_run):
     cer_stats = []
     decodable = 0
     for sample in samples:
-        spec = dsp.stft_logfreq(dsp.load_wav(manifest.parent / sample.audio))
+        frames = dsp.stft_logfreq(dsp.load_wav(manifest.parent / sample.audio)).frames
         target = cli._read_tokens(manifest.parent / sample.tokens, vocab)
-        hyp = cli._greedy_tokens(params, model_config, spec, vocab)
+        (hyp,) = cli._decode(params, model_config, [frames], vocab)
         cer_stats.append(metrics.cer(target, hyp))
         try:
             codec.decode(hyp)

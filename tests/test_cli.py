@@ -384,7 +384,7 @@ def test_config_with_wrong_types_is_usage_error(tmp_path):
     assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE
 
 
-def _malformed_inputs(root, data, damage):
+def _malformed_inputs(root, data, checkpoint, damage):
     """Apply one kind of damage to a copy of the dataset; returns (argv, exit code)."""
     config_path = _write_config(root)
     train = ["train", "--config", str(config_path), "--manifest", str(data / "manifest.jsonl")]
@@ -397,11 +397,26 @@ def _malformed_inputs(root, data, damage):
         value = {"token_out_of_range": 999, "token_negative": -1, "token_blank": 0}[damage]
         (data / first_train["tokens"]).write_text(f"{value}\n")
         return train, cli.EXIT_DATA
-    if damage == "manifest_audio_type":
-        first_train["audio"] = 5
+    if damage in ("manifest_audio_type", "train_audio_under_file", "evaluate_audio_under_file"):
+        # an audio path of the wrong type, or one that runs through a regular file
+        first_train["audio"] = 5 if damage == "manifest_audio_type" else f"{first_train['audio']}/x.wav"
         (data / "manifest.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        if damage == "evaluate_audio_under_file":
+            evaluate = ["evaluate", "--checkpoint", checkpoint, "--manifest", train[-1], "--split", "train"]
+            return evaluate, cli.EXIT_OK
+        return train, cli.EXIT_DATA
+    if damage == "wav_under_file":
+        wav = data / first_train["audio"]
+        return ["transcribe", str(wav / "x.wav"), "--checkpoint", checkpoint], cli.EXIT_DATA
+    if damage == "checkpoint_dir_under_file":
+        (root / "blocker").write_text("")
+        _write_config(root, checkpoint_dir="blocker/ckpt")
         return train, cli.EXIT_DATA
     make_corpus(root / "corpus", n_scores=1, seed=3, two_voice_every=0)
+    if damage == "out_dir_under_file":
+        (root / "blocker").write_text("")
+        config_path = _write_config(root, out_dir="blocker/data")
+        return ["build", "--config", str(config_path)], cli.EXIT_DATA
     config_path = _write_config(root, voices=[{"harmonics": 5}])
     return ["build", "--config", str(config_path)], cli.EXIT_USAGE
 
@@ -415,13 +430,21 @@ def _malformed_inputs(root, data, damage):
         "token_blank",
         "manifest_audio_type",
         "voices_harmonics_type",
+        "wav_under_file",
+        "train_audio_under_file",
+        "evaluate_audio_under_file",
+        "out_dir_under_file",
+        "checkpoint_dir_under_file",
     ],
 )
-def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, damage):
+def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, capsys, damage):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset["manifest"].parent, data)
-    argv, expected = _malformed_inputs(tmp_path, data, damage)
+    checkpoint = str(tiny_dataset["checkpoint_dir"] / "best.ckpt")
+    argv, expected = _malformed_inputs(tmp_path, data, checkpoint, damage)
     assert cli.main(argv) == expected
+    if damage == "evaluate_audio_under_file":
+        assert "evaluate: skipping" in capsys.readouterr().err
     if damage == "vocab_symbol":
         # transcribe and evaluate read the vocabulary beside the checkpoint
         ckpt = tmp_path / "ckpt"

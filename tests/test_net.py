@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyscore import ctc, net
+from polyscore import ctc, dsp, net
 
 
 TINY = net.ModelConfig(vocab_size=5, input_bins=24, hidden_units=8, frame_doubling=True, dropout_p=0.1)
@@ -29,7 +29,7 @@ def test_frame_double_undouble_identity():
 def test_posterior_rows_sum_to_one():
     params = tiny_params()
     x = np.random.default_rng(5).random((9, 24))
-    grid = net.forward(params, TINY, x, mode="eval")
+    grid = net.forward(params, TINY, [x], mode="eval")[0]
     assert np.all(np.abs(np.exp(grid).sum(axis=1) - 1.0) <= 1e-6)
     assert np.all(grid <= 0)
     assert grid.shape == (18, 5)  # doubling on
@@ -39,7 +39,7 @@ def test_frame_doubling_doubles_rows():
     cfg = net.ModelConfig(vocab_size=4, input_bins=24, hidden_units=4, frame_doubling=True, dropout_p=0.0)
     params = net.init_params(cfg, 0, dtype=np.float64)
     x = np.random.default_rng(1).random((10, 24))
-    assert net.forward(params, cfg, x, mode="eval").shape[0] == 20
+    assert net.forward(params, cfg, [x], mode="eval")[0].shape[0] == 20
 
 
 def test_time_resolution_preserved_without_doubling():
@@ -47,23 +47,23 @@ def test_time_resolution_preserved_without_doubling():
     params = net.init_params(cfg, 0, dtype=np.float64)
     for w in (1, 2, 5, 11):
         x = np.random.default_rng(w).random((w, 24))
-        assert net.forward(params, cfg, x, mode="eval").shape[0] == w
+        assert net.forward(params, cfg, [x], mode="eval")[0].shape[0] == w
 
 
 def test_eval_deterministic_and_pure():
     params = tiny_params()
     x = np.random.default_rng(2).random((6, 24))
-    a = net.forward(params, TINY, x, mode="eval")
-    b = net.forward(params, TINY, x, mode="eval")
+    a = net.forward(params, TINY, [x], mode="eval")[0]
+    b = net.forward(params, TINY, [x], mode="eval")[0]
     assert np.array_equal(a, b)
 
 
 def test_train_mode_dropout_depends_on_seed():
     params = tiny_params()
     x = np.random.default_rng(2).random((6, 24))
-    g1, _ = net.forward(params, TINY, x, mode="train", rng_seed=1)
-    g1b, _ = net.forward(params, TINY, x, mode="train", rng_seed=1)
-    g2, _ = net.forward(params, TINY, x, mode="train", rng_seed=2)
+    [g1], _ = net.forward(params, TINY, [x], mode="train", rng_seed=[1])
+    [g1b], _ = net.forward(params, TINY, [x], mode="train", rng_seed=[1])
+    [g2], _ = net.forward(params, TINY, [x], mode="train", rng_seed=[2])
     assert np.array_equal(g1, g1b)
     assert not np.array_equal(g1, g2)
 
@@ -73,14 +73,26 @@ def test_zero_output_layer_gives_uniform_rows():
     params.tensors["out_w"][:] = 0.0
     params.tensors["out_b"][:] = 0.0
     x = np.random.default_rng(3).random((4, 24))
-    grid = net.forward(params, TINY, x, mode="eval")
+    grid = net.forward(params, TINY, [x], mode="eval")[0]
     assert np.allclose(np.exp(grid), 1.0 / TINY.vocab_size)
 
 
 def test_shape_mismatch():
     params = tiny_params()
     with pytest.raises(net.ShapeMismatch):
-        net.forward(params, TINY, np.zeros((5, 23)), mode="eval")
+        net.forward(params, TINY, [np.zeros((5, 23))], mode="eval")
+
+
+def test_forward_takes_only_a_list_of_arrays():
+    # neither input may be read as W one-row clips or unwrapped
+    params = tiny_params()
+    x = np.random.default_rng(2).random((6, 24))
+    spec = dsp.Spectrogram(frames=x, hop_seconds=0.01, bin_frequencies=np.arange(24.0))
+    for bad in (x, [spec]):
+        with pytest.raises(net.ShapeMismatch):
+            net.forward(params, TINY, bad, mode="eval")
+        with pytest.raises(net.ShapeMismatch):
+            net.forward(params, TINY, bad, mode="train", rng_seed=[0] * len(bad))
 
 
 def test_full_model_gradient_subsampled():
@@ -89,12 +101,12 @@ def test_full_model_gradient_subsampled():
     target = [1, 2, 1]
 
     def loss_fn(p):
-        grid, cache = net.forward(p, TINY, x, mode="train", rng_seed=2336)
+        [grid], cache = net.forward(p, TINY, [x], mode="train", rng_seed=[2336])
         loss, upstream = ctc.ctc_loss(grid, target)
         return loss, cache, upstream
 
     loss, cache, upstream = loss_fn(params)
-    grads = net.backward(cache, upstream)
+    grads = net.backward(cache, [upstream])
     rng = np.random.default_rng(9)
     worst = 0.0
     for name in params.trainable:
@@ -116,8 +128,8 @@ def test_full_model_gradient_subsampled():
 def test_zero_upstream_gradient_gives_zero_grads():
     params = tiny_params()
     x = np.random.default_rng(4).random((5, 24))
-    grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=0)
-    grads = net.backward(cache, np.zeros_like(grid))
+    [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[0])
+    grads = net.backward(cache, [np.zeros_like(grid)])
     assert all(np.all(g == 0.0) for g in grads.values())
 
 
@@ -128,9 +140,9 @@ def test_batch_average_matches_manual_mix():
     target = [1, 2]
 
     def grads_for(x):
-        grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=1)
+        [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[1])
         loss, upstream = ctc.ctc_loss(grid, target)
-        return net.backward(cache, upstream)
+        return net.backward(cache, [upstream])
 
     ga, gb = grads_for(xa), grads_for(xb)
     mixed = {k: 0.5 * ga[k] + 0.5 * gb[k] for k in ga}
@@ -142,12 +154,12 @@ def test_batch_average_matches_manual_mix():
 def test_stale_cache_rejected():
     params = tiny_params()
     x = np.random.default_rng(4).random((5, 24))
-    grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=0)
-    net.backward(cache, np.zeros_like(grid))
+    [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[0])
+    net.backward(cache, [np.zeros_like(grid)])
     with pytest.raises(net.StaleCache):
-        net.backward(cache, np.zeros_like(grid))
+        net.backward(cache, [np.zeros_like(grid)])
     with pytest.raises(net.StaleCache):
-        net.backward(None, np.zeros((5, 5)))
+        net.backward(None, [np.zeros((5, 5))])
 
 
 def test_sgd_zero_gradient_is_noop():
@@ -271,9 +283,9 @@ def test_model_config_validation():
 def test_batchnorm_stats_update():
     params = tiny_params(dtype=np.float32)
     x = np.random.default_rng(0).random((6, 24))
-    grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=0)
+    [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[0])
     before = params.tensors["bn0_mean"].copy()
-    net.update_batchnorm_stats(params, net.average_moments([cache.bn_moments]))
+    net.update_batchnorm_stats(params, cache.bn_moments)
     after = params.tensors["bn0_mean"]
     assert not np.array_equal(before, after)
     assert after.dtype == np.float32
@@ -297,16 +309,16 @@ def test_batch_matches_per_clip_runs(dtype, rtol):
     upstream = []
     expected: dict[str, np.ndarray] = {}
     for x, seed, target, grid, moments in zip(clips, seeds, targets, grids, cache.bn_moments):
-        single, single_cache = net.forward(params, TINY, x, mode="train", rng_seed=seed)
+        [single], single_cache = net.forward(params, TINY, [x], mode="train", rng_seed=[seed])
         assert grid.shape == single.shape
         assert _close(grid, single, rtol)
-        for name, (mean, var) in single_cache.bn_moments.items():
+        for name, (mean, var) in single_cache.bn_moments[0].items():
             assert _close(moments[name][0], mean, rtol) and _close(moments[name][1], var, rtol)
         loss, single_upstream = ctc.ctc_loss(single, target)
         batch_loss, batch_upstream = ctc.ctc_loss(grid, target)
         assert abs(batch_loss - loss) <= rtol * abs(loss)
         upstream.append(batch_upstream)
-        for name, g in net.backward(single_cache, single_upstream).items():
+        for name, g in net.backward(single_cache, [single_upstream]).items():
             expected[name] = expected.get(name, 0) + g
     upstream.append(np.zeros_like(grids[3]))
     grads = net.backward(cache, upstream)
@@ -314,7 +326,7 @@ def test_batch_matches_per_clip_runs(dtype, rtol):
     for name, g in grads.items():
         assert _close(g, expected[name], rtol), name
     for grid, x in zip(net.forward(params, TINY, clips, mode="eval"), clips):
-        assert _close(grid, net.forward(params, TINY, x, mode="eval"), rtol)
+        assert _close(grid, net.forward(params, TINY, [x], mode="eval")[0], rtol)
 
 
 def _reference_lstm_forward(xp, wh):
@@ -406,10 +418,10 @@ def test_time_major_order_reverses_valid_frames_only():
 def test_float32_params_give_float32_grads():
     params = tiny_params(dtype=np.float32)
     x = np.random.default_rng(8).random((6, 24))
-    grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=4)
+    [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[4])
     loss, upstream = ctc.ctc_loss(grid, [1, 2])
     assert upstream.dtype == np.float64
-    grads = net.backward(cache, upstream)
+    grads = net.backward(cache, [upstream])
     assert set(grads) == set(params.trainable)
     for name, g in grads.items():
         assert g.dtype == np.float32, name
@@ -421,12 +433,12 @@ def test_float32_logit_gap_beyond_softmax_range_trains():
     params = tiny_params(dtype=np.float32)
     params.tensors["out_b"][0] = 200.0
     x = np.random.default_rng(8).random((6, 24))
-    grid, cache = net.forward(params, TINY, x, mode="train", rng_seed=4)
+    [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[4])
     assert grid.dtype == np.float32 and np.any(np.exp(grid) == 0.0)
     loss, upstream = ctc.ctc_loss(grid, [1, 2])
     assert np.isfinite(loss) and np.all(np.isfinite(upstream))
     velocity = net.zero_velocity(params)
-    net.sgd_nesterov_step(params, net.backward(cache, upstream), velocity, lr=3e-4)
+    net.sgd_nesterov_step(params, net.backward(cache, [upstream]), velocity, lr=3e-4)
     assert all(np.all(np.isfinite(params.tensors[n])) for n in params.trainable)
 
 
@@ -436,7 +448,7 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "last.ckpt"
     net.save_checkpoint(path, TINY, params, velocity, b"\x01" * 32, epoch=1)
     before = path.read_bytes()
-    newer = params.clone()
+    newer = net.ModelParams({k: v.copy() for k, v in params.tensors.items()}, params.trainable)
     for arr in newer.tensors.values():
         arr += 1.0
 
