@@ -87,6 +87,8 @@ class RunConfig:
             if not _is_number(voice.get("decay", 3.0)):
                 raise ConfigError("voice decay must be a number")
         _voices_for(self, 1)  # raises on amplitudes or decays the synthesizer rejects
+        if not isinstance(self.default_tempo, str):
+            raise ConfigError("default_tempo must be a string")
         kern.assign_tempo(self.default_tempo)  # raises on unknown labels
 
     @property
@@ -177,6 +179,8 @@ def _read_tokens(path, vocab: codec.Vocabulary) -> codec.TokenSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = tuple(int(line) for line in fh if line.strip())
+        if not tokens:
+            raise ValueError("no tokens")
         if ctc.BLANK in tokens:
             raise ValueError("the blank cannot be a target token")
         return codec.TokenSequence(tokens=tokens, vocab=vocab)
@@ -363,12 +367,6 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     vocab = _read_vocabulary(vocab_path)
     vocab_hash = vocab.sha256()
 
-    data = _load_split(manifest_path, vocab, ("train", "validation"))
-    train_samples = data["train"]
-    val_samples = data["validation"] or train_samples
-    if not train_samples:
-        raise DataError("manifest has no training samples")
-
     try:
         model_config = net.ModelConfig(vocab_size=len(vocab), **config.model)
     except (TypeError, ValueError) as exc:
@@ -376,6 +374,12 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     ckpt_dir = Path(config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(ckpt_dir / VOCAB_FILENAME)
+
+    data = _load_split(manifest_path, vocab, ("train", "validation"))
+    train_samples = data["train"]
+    val_samples = data["validation"] or train_samples
+    if not train_samples:
+        raise DataError("manifest has no training samples")
 
     if resume_checkpoint is not None:
         loaded_config, params, velocity, state = net.load_checkpoint(

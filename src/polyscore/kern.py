@@ -132,7 +132,6 @@ class ScoreEvent:
 
 
 CONTINUATION = ScoreEvent(kind="continuation")
-BARLINE_EVENT = ScoreEvent(kind="barline")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ incoming loss gradient to it.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -26,8 +28,11 @@ import numpy as np
 from .atomic import atomic_open
 
 BN_EPS = 1e-5
+CONV_FILTERS = 16
+CONV_KERNEL = 3
+CONV_FREQ_STRIDE = 2
 CHECKPOINT_MAGIC = b"PSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ShapeMismatch(Exception):
@@ -58,9 +63,6 @@ class VocabularyMismatch(CheckpointError):
 class ModelConfig:
     vocab_size: int
     input_bins: int = 240
-    conv_filters: int = 16
-    conv_kernel: int = 3
-    conv_freq_stride: int = 2
     conv_layers: int = 2
     recurrent_layers: int = 2
     hidden_units: int = 64
@@ -68,30 +70,25 @@ class ModelConfig:
     frame_doubling: bool = True
 
     def __post_init__(self):
+        for name in ("vocab_size", "input_bins", "conv_layers", "recurrent_layers", "hidden_units"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be at least 2")
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be at least 1")
+        if type(self.frame_doubling) is not bool:
+            raise ValueError("frame_doubling must be true or false")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
-        if self.conv_kernel != 3:
-            raise ValueError("only 3x3 kernels are supported")
 
     def conv_feature_dims(self) -> list[int]:
         dims = [self.input_bins]
         for _ in range(self.conv_layers):
-            dims.append(-(-dims[-1] // self.conv_freq_stride))
+            dims.append(-(-dims[-1] // CONV_FREQ_STRIDE))
         return dims
 
     def frame_features(self) -> int:
-        return self.conv_feature_dims()[-1] * self.conv_filters
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return self.conv_feature_dims()[-1] * CONV_FILTERS
 
 
 @dataclass(eq=False)
@@ -114,8 +111,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     the 4H axis; the checkpoint format fixes this layout.
     """
     shapes: dict[str, tuple[int, ...]] = {}
-    c = config.conv_filters
-    k = config.conv_kernel
+    c = CONV_FILTERS
+    k = CONV_KERNEL
     in_ch = 1
     for i in range(config.conv_layers):
         shapes[f"conv{i}_w"] = (c, in_ch, k, k)
@@ -486,7 +483,7 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
         x[b, 0, :, : len(f)] = f.T
     valid = (np.arange(width) < lengths[:, None]).astype(dtype)[:, None, None, :]
     for i in range(config.conv_layers):
-        x, cache = _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], config.conv_freq_stride)
+        x, cache = _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], CONV_FREQ_STRIDE)
         stages.append(("conv", i, cache))
         if train:
             for b, length in enumerate(lengths):
@@ -636,23 +633,10 @@ def lr_at_epoch(epoch: int) -> float:
     return 3e-4 / 1.1 ** (epoch % 50)
 
 
-def _write_tensor(fh, name: str, array: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<B", array.ndim))
-    fh.write(struct.pack(f"<{array.ndim}I", *array.shape))
-    fh.write(array.astype("<f4").tobytes())
-
-
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    count = int(np.prod(shape)) if ndim else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-    return name, data.astype(np.float32)
+def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> view into ``flat``, which holds the tensors back to back in ``shapes`` order."""
+    bounds = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), np.split(flat, bounds))}
 
 
 def save_checkpoint(
@@ -664,50 +648,51 @@ def save_checkpoint(
     epoch: int = 0,
     best_wer: float | None = None,
 ) -> None:
-    """Versioned binary checkpoint: header, parameter blobs, velocity blobs.
+    """Versioned binary checkpoint: magic, version, header, vocabulary hash, payload.
 
-    The file is written as ``<name>.tmp`` beside the target and then renamed
-    over it, so an interrupted save leaves the previous checkpoint intact.
+    The payload is every parameter in :func:`param_shapes` order, then the
+    velocity of every trainable one, as little-endian float32; the header's
+    model configuration fixes that layout. Tensors that do not match it raise
+    :class:`CheckpointError` before anything is written. The file is written
+    as ``<name>.tmp`` and renamed over ``path``, so an interrupted save leaves
+    the previous checkpoint intact.
     """
+    shapes = param_shapes(config)
+    trainable = _trainable(shapes)
+    unmatched = sorted((params.tensors.keys() ^ shapes.keys()) | (velocity.keys() ^ set(trainable)))
+    if unmatched:
+        raise CheckpointError(f"tensors {unmatched} are missing or not in the model configuration")
+    if params.trainable != trainable:
+        raise CheckpointError(f"trainable tensors {params.trainable} are not the configuration's {trainable}")
+    arrays = [params.tensors[n] for n in shapes] + [velocity[n] for n in trainable]
+    for name, array in zip([*shapes, *trainable], arrays):
+        if array.shape != shapes[name]:
+            raise CheckpointError(f"tensor {name} has shape {array.shape}, expected {shapes[name]}")
     header = json.dumps(
-        {"config": config.to_dict(), "epoch": epoch, "best_wer": best_wer},
+        {"config": asdict(config), "epoch": epoch, "best_wer": best_wer},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
     with atomic_open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<32s", vocab_hash))
-        fh.write(struct.pack("<I", len(params.tensors)))
-        for name, array in params.tensors.items():
-            _write_tensor(fh, name, array)
-        fh.write(struct.pack("<I", len(velocity)))
-        for name in params.trainable:
-            _write_tensor(fh, name, velocity[name])
-
-
-def _check_tensors(kind: str, tensors: dict, shapes: dict) -> None:
-    if tensors.keys() != shapes.keys():
-        missing = sorted(shapes.keys() - tensors.keys())
-        extra = sorted(tensors.keys() - shapes.keys())
-        raise CheckpointError(
-            f"{kind} tensors do not match the model configuration: "
-            f"missing {missing}, unexpected {extra}"
+        fh.write(
+            CHECKPOINT_MAGIC
+            + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+            + header
+            + struct.pack("<32s", vocab_hash)
         )
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise CheckpointError(f"{kind} tensor {name} has shape {tensors[name].shape}, expected {shape}")
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
     """Load a checkpoint; returns (config, params, velocity, state dict).
 
-    Raises :class:`CheckpointError` unless the file holds exactly the tensors
-    its model configuration implies, with their shapes, and nothing after
-    them; raises :class:`VocabularyMismatch` when an expected vocabulary hash
-    is given and differs from the stored one.
+    The parameters are views into one float32 array and the velocities into
+    another. Raises :class:`CheckpointError` on any version but
+    :data:`CHECKPOINT_VERSION`, on a malformed header, and on a payload of
+    any length but the one its model configuration implies; raises
+    :class:`VocabularyMismatch` when an expected vocabulary hash is given
+    and differs from the stored one.
     """
     try:
         with open(path, "rb") as fh:
@@ -715,30 +700,38 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
                 raise CheckpointError("not a checkpoint file")
             (version,) = struct.unpack("<I", fh.read(4))
             if version != CHECKPOINT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint version {version}")
+                raise CheckpointError(
+                    f"unsupported checkpoint version {version}; retrain to write version {CHECKPOINT_VERSION}"
+                )
             (header_len,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(header_len).decode("utf-8"))
             (vocab_hash,) = struct.unpack("<32s", fh.read(32))
-            config = ModelConfig.from_dict(header["config"])
-            (n_params,) = struct.unpack("<I", fh.read(4))
-            tensors = {}
-            for _ in range(n_params):
-                name, array = _read_tensor(fh)
-                tensors[name] = array
-            (n_vel,) = struct.unpack("<I", fh.read(4))
-            velocity = {}
-            for _ in range(n_vel):
-                name, array = _read_tensor(fh)
-                velocity[name] = array
-            if fh.read(1):
-                raise CheckpointError("trailing bytes after the last tensor")
-        shapes = param_shapes(config)
-        state = {"epoch": header["epoch"], "best_wer": header["best_wer"], "vocab_hash": vocab_hash}
-    except (struct.error, ValueError, KeyError, TypeError, json.JSONDecodeError, OddFeatureDim) as exc:
+            config = ModelConfig(**header["config"])
+            epoch, best_wer = header["epoch"], header["best_wer"]
+            if type(epoch) is not int or epoch < 0:
+                raise CheckpointError(f"epoch must be a non-negative integer, got {epoch!r}")
+            if best_wer is not None and type(best_wer) not in (int, float):
+                raise CheckpointError(f"best_wer must be a number or null, got {best_wer!r}")
+            shapes = param_shapes(config)
+            velocity_shapes = {n: shapes[n] for n in _trainable(shapes)}
+            counts = [sum(math.prod(shape) for shape in s.values()) for s in (shapes, velocity_shapes)]
+            payload_bytes = 4 * sum(counts)
+            # checked before allocating, so a damaged header cannot ask for a huge buffer
+            actual = os.fstat(fh.fileno()).st_size - fh.tell()
+            if actual != payload_bytes:
+                raise CheckpointError(
+                    f"payload holds {actual} bytes; the model configuration implies {payload_bytes}"
+                )
+            # one buffer for the parameters and one for the velocities, so a
+            # caller that drops the velocities frees them
+            flats = [np.empty(count, dtype="<f4") for count in counts]
+            if sum(fh.readinto(flat) for flat in flats) != payload_bytes:
+                raise CheckpointError("payload ends early")
+    except (struct.error, ValueError, KeyError, TypeError, OddFeatureDim) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
-    _check_tensors("parameter", tensors, shapes)
-    _check_tensors("velocity", velocity, {n: shapes[n] for n in _trainable(shapes)})
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise VocabularyMismatch("checkpoint vocabulary hash does not match")
-    params = ModelParams(tensors=tensors, trainable=_trainable(tensors))
+    params = ModelParams(tensors=_unflatten(flats[0], shapes), trainable=tuple(velocity_shapes))
+    velocity = _unflatten(flats[1], velocity_shapes)
+    state = {"epoch": epoch, "best_wer": best_wer, "vocab_hash": vocab_hash}
     return config, params, velocity, state

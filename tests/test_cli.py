@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -255,19 +256,56 @@ def test_transcribe_corrupt_checkpoint_distinct_exit(tiny_dataset, tmp_path):
     assert rc == cli.EXIT_DATA  # load failure, not a decoding failure
 
 
-@pytest.mark.parametrize("damage", ["missing_tensor", "trailing_bytes"])
+def _edit_header(path, **changes):
+    """Rewrite a checkpoint's JSON header; a ``config`` change merges into the model configuration."""
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + length])
+    header["config"].update(changes.pop("config", {}))
+    header.update(changes)
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(encoded)) + encoded + data[12 + length :])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["missing_tensor", "trailing_bytes", "version_1", "hidden_units_float", "conv_freq_stride"],
+)
 def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path, damage):
     ckpt_dir = tiny_dataset["checkpoint_dir"]
-    config, params, velocity, state = net.load_checkpoint(ckpt_dir / "best.ckpt")
-    if damage == "missing_tensor":
-        del params.tensors["out_b"]
     bad = tmp_path / "bad.ckpt"
-    net.save_checkpoint(bad, config, params, velocity, state["vocab_hash"])
-    if damage == "trailing_bytes":
-        bad.write_bytes(bad.read_bytes() + b"\x00\x00")
+    data = (ckpt_dir / "best.ckpt").read_bytes()
+    bad.write_bytes(
+        {
+            "missing_tensor": data[:-4],  # the last velocity's last value is cut off
+            "trailing_bytes": data + b"\x00",
+            "version_1": data[:4] + struct.pack("<I", 1) + data[8:],
+        }.get(damage, data)
+    )
+    if damage == "hidden_units_float":
+        _edit_header(bad, config={"hidden_units": 8.5})
+    if damage == "conv_freq_stride":
+        # a field of version 1 configurations that version 2 has no longer
+        _edit_header(bad, config={"conv_freq_stride": 2.5})
     shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
     wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
     assert cli.main(["transcribe", str(wav), "--checkpoint", str(bad)]) == cli.EXIT_DATA
+
+
+def _refuse_clip_loading(monkeypatch):
+    def load_split(*args):
+        raise AssertionError("train loaded clips before rejecting its input")
+
+    monkeypatch.setattr(cli, "_load_split", load_split)
+
+
+@pytest.mark.parametrize("change", [{"epoch": "0"}, {"epoch": -1}, {"best_wer": "x"}, {"best_wer": True}])
+def test_train_resume_from_bad_header_exits_data_error(tiny_dataset, tmp_path, change):
+    bad = tmp_path / "bad.ckpt"
+    shutil.copy(tiny_dataset["checkpoint_dir"] / "best.ckpt", bad)
+    _edit_header(bad, **change)
+    train = ["train", "--config", str(_write_config(tmp_path)), "--manifest", str(tiny_dataset["manifest"])]
+    assert cli.main([*train, "--checkpoint", str(bad)]) == cli.EXIT_DATA
 
 
 def test_evaluate_oracle_mode_zero_rates(tiny_dataset, capsys):
@@ -369,19 +407,26 @@ def test_evaluate_reports_missing_files_per_sample(tiny_dataset, tmp_path, capsy
     assert "summary" in captured.out
 
 
-def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path):
-    bad = tmp_path / "bad_model.json"
-    cfg = json.loads(Path(tiny_dataset["config_path"]).read_text())
-    cfg["model"] = {"hidden_units": 8, "no_such_knob": True}
-    bad.write_text(json.dumps(cfg))
-    rc = cli.main(["train", "--config", str(bad), "--manifest", str(tiny_dataset["manifest"])])
-    assert rc == cli.EXIT_USAGE
+def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monkeypatch):
+    _refuse_clip_loading(monkeypatch)
+    for model in (
+        {"hidden_units": 8, "no_such_knob": True},
+        {"hidden_units": 8.5},
+        {"conv_layers": 0},
+        {"recurrent_layers": 0},
+        {"frame_doubling": 1},
+        {"conv_kernel": 3},  # a field of version 1 configurations
+    ):
+        bad = _write_config(tmp_path, model=model)
+        rc = cli.main(["train", "--config", str(bad), "--manifest", str(tiny_dataset["manifest"])])
+        assert rc == cli.EXIT_USAGE, model
 
 
 def test_config_with_wrong_types_is_usage_error(tmp_path):
     path = tmp_path / "types.json"
-    path.write_text(json.dumps({"seed": "not-a-number"}))
-    assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE
+    for raw in ({"seed": "not-a-number"}, {"default_tempo": 5}):
+        path.write_text(json.dumps(raw))
+        assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE, raw
 
 
 def _malformed_inputs(root, data, checkpoint, damage):
@@ -437,11 +482,13 @@ def _malformed_inputs(root, data, checkpoint, damage):
         "checkpoint_dir_under_file",
     ],
 )
-def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, capsys, damage):
+def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, capsys, monkeypatch, damage):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset["manifest"].parent, data)
     checkpoint = str(tiny_dataset["checkpoint_dir"] / "best.ckpt")
     argv, expected = _malformed_inputs(tmp_path, data, checkpoint, damage)
+    if damage == "checkpoint_dir_under_file":
+        _refuse_clip_loading(monkeypatch)
     assert cli.main(argv) == expected
     if damage == "evaluate_audio_under_file":
         assert "evaluate: skipping" in capsys.readouterr().err
@@ -457,11 +504,12 @@ def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, caps
         assert cli.main(evaluate) == cli.EXIT_DATA
 
 
-def test_evaluate_skips_sample_with_malformed_tokens(tiny_dataset, tmp_path, capsys):
+@pytest.mark.parametrize("tokens", ["999\n", ""], ids=["out_of_range", "empty"])
+def test_evaluate_skips_sample_with_malformed_tokens(tiny_dataset, tmp_path, capsys, tokens):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset["manifest"].parent, data)
     samples = [s for s in cli.read_manifest(data / "manifest.jsonl") if s.split == "train"]
-    (data / samples[0].tokens).write_text("999\n")
+    (data / samples[0].tokens).write_text(tokens)
     rc = cli.main(
         [
             "evaluate",
@@ -552,4 +600,33 @@ def test_damaged_wav_stays_inside_exit_codes(tiny_dataset, cut, flips):
                 data[bit // 8] ^= 1 << (bit % 8)
         wav.write_bytes(bytes(data))
         rc = cli.main(["transcribe", str(wav), "--checkpoint", checkpoint])
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_MODEL)
+
+
+_CKPT_HEAD_BYTES = 200  # magic, version, header length and most of the JSON header
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(20261018)
+@given(
+    # one_of biases the cuts and the flipped bits toward the header; other
+    # positions are taken modulo the file's length
+    cut=st.one_of(st.none(), st.integers(0, _CKPT_HEAD_BYTES), st.integers(0, 2**32)),
+    flips=st.lists(st.one_of(st.integers(0, 8 * _CKPT_HEAD_BYTES - 1), st.integers(0, 2**32)), max_size=6),
+)
+def test_damaged_checkpoint_stays_inside_exit_codes(tiny_dataset, cut, flips):
+    # truncated or bit-flipped checkpoints: transcribe exits 0, 2 or 3 and raises nothing
+    raw = (tiny_dataset["checkpoint_dir"] / "best.ckpt").read_bytes()
+    data = bytearray(raw if cut is None else raw[: cut % (len(raw) + 1)])
+    for bit in flips:
+        bit %= 8 * len(raw)
+        if bit // 8 < len(data):
+            data[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "damaged.ckpt"
+        checkpoint.write_bytes(bytes(data))
+        shutil.copy(tiny_dataset["checkpoint_dir"] / cli.VOCAB_FILENAME, Path(tmp) / cli.VOCAB_FILENAME)
+        wav = Path(tmp) / "tone.wav"
+        dsp.write_wav(wav, 0.5 * np.sin(0.05 * np.arange(_FUZZ_SAMPLES)))
+        rc = cli.main(["transcribe", str(wav), "--checkpoint", str(checkpoint)])
     assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_MODEL)

@@ -1,3 +1,6 @@
+import contextlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,13 @@ def test_checkpoint_corrupt_file(tmp_path):
     truncated.write_bytes(data + b"\x00")
     with pytest.raises(net.CheckpointError):
         net.load_checkpoint(truncated)
+    truncated.write_bytes(data[:-4])
+    with pytest.raises(net.CheckpointError):
+        net.load_checkpoint(truncated)
+    # a version 1 file is refused by number, whatever follows its header
+    truncated.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+    with pytest.raises(net.CheckpointError, match="version 1"):
+        net.load_checkpoint(truncated)
 
 
 @pytest.mark.parametrize("damage", ["missing", "extra", "wrong_shape", "velocity_missing"])
@@ -265,19 +275,24 @@ def test_checkpoint_tensors_must_match_config(tmp_path, damage):
         params.tensors["out_w"] = params.tensors["out_w"][:, :-1].copy()
     else:
         params.trainable = params.trainable[:-1]
-    path = tmp_path / "model.ckpt"
-    net.save_checkpoint(path, TINY, params, velocity, b"\x00" * 32)
     with pytest.raises(net.CheckpointError):
-        net.load_checkpoint(path)
+        net.save_checkpoint(tmp_path / "model.ckpt", TINY, params, velocity, b"\x00" * 32)
+    assert list(tmp_path.iterdir()) == []  # refused before anything was written
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError):
-        net.ModelConfig(vocab_size=1)
-    with pytest.raises(ValueError):
-        net.ModelConfig(vocab_size=4, dropout_p=1.0)
-    with pytest.raises(ValueError):
-        net.ModelConfig(vocab_size=4, hidden_units=0)
+    for field in (
+        {"vocab_size": 1},
+        {"dropout_p": 1.0},
+        {"hidden_units": 0},
+        {"hidden_units": 8.5},
+        {"input_bins": True},
+        {"conv_layers": 0},
+        {"recurrent_layers": 0},
+        {"frame_doubling": 1},
+    ):
+        with pytest.raises(ValueError):
+            net.ModelConfig(**{"vocab_size": 4, **field})
 
 
 def test_batchnorm_stats_update():
@@ -452,18 +467,28 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     for arr in newer.tensors.values():
         arr += 1.0
 
-    written = []
-    real_write = net._write_tensor
+    real_open = net.atomic_open
+    writes = []
 
-    def failing_write(fh, name, array):
-        if len(written) == 3:
-            raise OSError("disk full")
-        written.append(name)
-        real_write(fh, name, array)
+    @contextlib.contextmanager
+    def failing_open(*args, **kwargs):
+        # the third write is the second parameter tensor, inside the payload
+        with real_open(*args, **kwargs) as fh:
+            real_write = fh.write
 
-    monkeypatch.setattr(net, "_write_tensor", failing_write)
+            def write(data):
+                if len(writes) == 2:
+                    raise OSError("disk full")
+                writes.append(data)
+                return real_write(data)
+
+            fh.write = write
+            yield fh
+
+    monkeypatch.setattr(net, "atomic_open", failing_open)
     with pytest.raises(OSError):
         net.save_checkpoint(path, TINY, newer, velocity, b"\x01" * 32, epoch=2)
+    assert len(writes) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
     _, loaded, _, state = net.load_checkpoint(path)
