@@ -31,6 +31,7 @@ BN_EPS = 1e-5
 CONV_FILTERS = 16
 CONV_KERNEL = 3
 CONV_FREQ_STRIDE = 2
+CONV_TILE = 128  # output frames per lowered time tile of a convolution
 CHECKPOINT_MAGIC = b"PSCK"
 CHECKPOINT_VERSION = 2
 
@@ -169,62 +170,132 @@ def _conv_same_pad(size: int, stride: int, kernel: int) -> tuple[int, int, int]:
     return out, total // 2, total - total // 2
 
 
-def _windows(stride_f, f_out, width):
-    """Index of each (ki, kj) tap's input window in a padded (C, F, W) clip."""
-    for ki in range(3):
-        for kj in range(3):
-            rows = slice(ki, ki + stride_f * (f_out - 1) + 1, stride_f)
-            yield ki, kj, (slice(None), rows, slice(kj, kj + width))
+def _weight_stack(w):
+    """The kernel as one GEMM operand: ``(stack, lowered)``.
+
+    ``lowered`` time taps of each (channel, frequency tap) go into the rows of
+    the lowered input; the remaining ``CONV_KERNEL // lowered`` time shifts
+    become row blocks of ``stack``, shape (shifts * C_out, C_in * 3 * lowered),
+    whose products are added with a one-column shift (MEC: Cho & Brand, ICML
+    2017, arXiv:1706.06873). With many input channels only the 3 frequency
+    taps are lowered; a single input channel would leave that GEMM an inner
+    dimension of 3, which measured slower than lowering all 9 taps.
+    """
+    c_out, c_in = w.shape[:2]
+    lowered = CONV_KERNEL if c_in == 1 else 1
+    shifts = CONV_KERNEL // lowered
+    stack = w.reshape(c_out, c_in, CONV_KERNEL, shifts, lowered).transpose(3, 0, 1, 2, 4)
+    return np.ascontiguousarray(stack.reshape(shifts * c_out, -1)), lowered
 
 
-def _im2col(xp_clip, stride_f, f_out, width, cols):
-    """Fill cols (C, 3, 3, F_out, W) from one padded clip; returns the (9C, F_out*W) view."""
-    for ki, kj, window in _windows(stride_f, f_out, width):
-        cols[:, ki, kj] = xp_clip[window]
-    return cols.reshape(len(cols) * 9, -1)
+def _windows(stride_f, f_out, lowered):
+    """(lowered row, frequency rows, time offset) of each lowered tap in a padded (C, F, W) clip."""
+    for ki in range(CONV_KERNEL):
+        rows = slice(ki, ki + stride_f * (f_out - 1) + 1, stride_f)
+        for a in range(lowered):
+            yield ki * lowered + a, rows, a
+
+
+def _lower(xp_clip, j0, span, lowered, stride_f, f_out, buf):
+    """Lower one time tile of a padded (C, F, W) clip into ``buf``.
+
+    Returns the (C * 3 * lowered, F_out * span) view whose row (c, ki, a) and
+    column (i, j) hold ``xp_clip[c, ki + stride_f * i, j0 + a + j]``.
+    """
+    rows_per_channel = CONV_KERNEL * lowered
+    cols = buf[: xp_clip.shape[0] * rows_per_channel * f_out * span].reshape(-1, rows_per_channel, f_out, span)
+    for r, rows, a in _windows(stride_f, f_out, lowered):
+        cols[:, r] = xp_clip[:, rows, j0 + a : j0 + a + span]
+    return cols.reshape(-1, f_out * span)
 
 
 def _conv_forward(x, w, b, stride_f):
     """3x3 'same' convolution of (B, C, F, W) input, strided on F.
 
-    im2col runs one clip at a time, which bounds its buffer; the cache keeps
-    the padded input, a ninth of that buffer's size, for backward to reread.
+    The padded input is lowered one clip and one time tile at a time, into
+    buffers allocated once per call, so memory does not grow with the clip.
+    Each tile is one GEMM against :func:`_weight_stack`; the cache keeps the
+    padded input for backward to lower again.
     """
-    n, c_in, f, width = x.shape
+    n, _, f, width = x.shape
     c_out = w.shape[0]
-    f_out, pf0, pf1 = _conv_same_pad(f, stride_f, 3)
+    f_out, pf0, pf1 = _conv_same_pad(f, stride_f, CONV_KERNEL)
     xp = np.pad(x, ((0, 0), (0, 0), (pf0, pf1), (1, 1)))
-    w2 = w.reshape(c_out, -1)
-    cols = np.empty((c_in, 3, 3, f_out, width), dtype=x.dtype)
+    stack, lowered = _weight_stack(w)
+    halo = CONV_KERNEL - lowered
+    tile_cols = f_out * (min(CONV_TILE, width) + halo)
+    cols_buf = np.empty(stack.shape[1] * tile_cols, dtype=x.dtype)
+    z_buf = np.empty(stack.shape[0] * tile_cols, dtype=x.dtype)
     y = np.empty((n, c_out, f_out, width), dtype=x.dtype)
+    bias = b[:, None, None]
     for clip in range(n):
-        y[clip] = (w2 @ _im2col(xp[clip], stride_f, f_out, width, cols)).reshape(c_out, f_out, width)
-    return y + b[:, None, None], (xp, f, pf0, stride_f)
+        for j0 in range(0, width, CONV_TILE):
+            t = min(CONV_TILE, width - j0)
+            span = t + halo
+            cols = _lower(xp[clip], j0, span, lowered, stride_f, f_out, cols_buf)
+            z = np.matmul(stack, cols, out=z_buf[: stack.shape[0] * cols.shape[1]].reshape(len(stack), -1))
+            z = z.reshape(-1, c_out, f_out, span)
+            out = np.add(z[0, ..., :t], bias, out=y[clip, :, :, j0 : j0 + t])
+            for s in range(1, len(z)):
+                out += z[s, ..., s * lowered : s * lowered + t]
+    return y, (xp, f, pf0, stride_f)
 
 
 def _conv_backward(dy, w, cache, input_grad=True):
+    """Gradients of :func:`_conv_forward`, lowering the cached padded input again per tile.
+
+    The stack's gradient is each tile's ``dy``, copied at every time shift
+    into a halo-wide row block, against the tile's lowering; the input
+    gradient is one GEMM of the transposed stack against those blocks,
+    scattered over the lowered taps' windows.
+    """
     xp, f, pf0, stride_f = cache
-    n, c_out, f_out, width = dy.shape
-    c_in = xp.shape[1]
-    w2 = w.reshape(c_out, -1)
-    cols = np.empty((c_in, 3, 3, f_out, width), dtype=xp.dtype)
-    dw = np.zeros_like(w2)
+    n, c_in = xp.shape[:2]
+    _, c_out, f_out, width = dy.shape
+    stack, lowered = _weight_stack(w)
+    halo = CONV_KERNEL - lowered
+    tile_cols = f_out * (min(CONV_TILE, width) + halo)
+    cols_buf = np.empty(stack.shape[1] * tile_cols, dtype=xp.dtype)
+    dz_buf = np.empty(stack.shape[0] * tile_cols, dtype=xp.dtype)
+    dcols_buf = np.empty(stack.shape[1] * tile_cols, dtype=xp.dtype) if input_grad else None
+    dstack = np.zeros_like(stack)
     dxp = np.zeros_like(xp) if input_grad else None
     for clip in range(n):
-        dy_clip = dy[clip].reshape(c_out, -1)
-        dw += dy_clip @ _im2col(xp[clip], stride_f, f_out, width, cols).T
-        if input_grad:
-            dcols = (w2.T @ dy_clip).reshape(c_in, 3, 3, f_out, width)
-            for ki, kj, window in _windows(stride_f, f_out, width):
-                dxp[clip][window] += dcols[:, ki, kj]
+        for j0 in range(0, width, CONV_TILE):
+            t = min(CONV_TILE, width - j0)
+            span = t + halo
+            cols = _lower(xp[clip], j0, span, lowered, stride_f, f_out, cols_buf)
+            dz = dz_buf[: stack.shape[0] * cols.shape[1]].reshape(-1, c_out, f_out, span)
+            for s in range(len(dz)):
+                shift = s * lowered
+                dz[s, ..., :shift] = 0
+                dz[s, ..., shift : shift + t] = dy[clip, :, :, j0 : j0 + t]
+                dz[s, ..., shift + t :] = 0
+            dz = dz.reshape(len(stack), -1)
+            dstack += dz @ cols.T
+            if input_grad:
+                dcols = np.matmul(stack.T, dz, out=dcols_buf[: cols.size].reshape(cols.shape))
+                dcols = dcols.reshape(c_in, -1, f_out, span)
+                for r, rows, a in _windows(stride_f, f_out, lowered):
+                    dxp[clip, :, rows, j0 + a : j0 + a + span] += dcols[:, r]
+    shifts = CONV_KERNEL // lowered
+    dw = dstack.reshape(shifts, c_out, c_in, CONV_KERNEL, lowered).transpose(1, 2, 3, 0, 4).reshape(w.shape)
     dx = dxp[:, :, pf0 : pf0 + f, 1 : 1 + width] if input_grad else None
-    return dx, dw.reshape(w.shape), dy.sum(axis=(0, 2, 3))
+    return dx, dw, dy.sum(axis=(0, 2, 3))
 
 
-def _bn_forward(x, gamma, beta, mean, var, channel_axis):
+def _bn_forward(x, gamma, beta, mean, var, channel_axis, train):
+    """Normalize with the running statistics; eval mode overwrites ``x`` and keeps no cache."""
     shape = [1] * x.ndim
     shape[channel_axis] = -1
     inv = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
+    if not train:
+        # the train-mode arithmetic below, one operation at a time in place
+        x -= mean.reshape(shape)
+        x *= inv
+        x *= gamma.reshape(shape)
+        x += beta.reshape(shape)
+        return x, None
     xhat = (x - mean.reshape(shape)) * inv
     y = gamma.reshape(shape) * xhat + beta.reshape(shape)
     reduce_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
@@ -411,7 +482,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _fill_dropout(views, rngs, p: float) -> None:
     """Write inverted-dropout multipliers into each clip's view, one generator per clip."""
     for view, rng in zip(views, rngs):
-        view[...] = (rng.random(view.shape) >= p).astype(view.dtype) / (1 - p)
+        np.greater_equal(rng.random(view.shape), p, out=view)
+        # a division, as multiplying by 1 / (1 - p) would round differently
+        view /= 1 - p
 
 
 @dataclass(eq=False)
@@ -476,6 +549,13 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
     stages: list = []
     bn_moments: list[dict] = [{} for _ in range(n)]
 
+    def staged(kind, key, result):
+        """A stage's output; train mode keeps its backward cache, eval mode drops it here."""
+        out, cache = result
+        if train:
+            stages.append((kind, key, cache))
+        return out
+
     # (B, C, F, W) through the convolutions; padded columns are zero whenever
     # a convolution reads them, as they are for a lone clip
     x = np.zeros((n, 1, config.input_bins, width), dtype=dtype)
@@ -483,59 +563,53 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
         x[b, 0, :, : len(f)] = f.T
     valid = (np.arange(width) < lengths[:, None]).astype(dtype)[:, None, None, :]
     for i in range(config.conv_layers):
-        x, cache = _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], CONV_FREQ_STRIDE)
-        stages.append(("conv", i, cache))
+        x = staged("conv", i, _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], CONV_FREQ_STRIDE))
         if train:
             for b, length in enumerate(lengths):
                 clip = x[b, :, :, :length]
                 bn_moments[b][f"bn{i}"] = (clip.mean(axis=(1, 2)), clip.var(axis=(1, 2)))
-        x, cache = _bn_forward(
-            x, t[f"bn{i}_gamma"], t[f"bn{i}_beta"], t[f"bn{i}_mean"], t[f"bn{i}_var"], 1
-        )
-        stages.append(("bn", f"bn{i}", cache))
-        keep = (x > 0).astype(dtype)  # ReLU
-        if dropout:
-            drop = np.zeros_like(x)
-            clips = (drop[b, :, :, :length] for b, length in enumerate(lengths))
-            _fill_dropout(clips, rngs, config.dropout_p)
-            keep *= drop
-        elif padded:
-            keep *= valid
-        x = x * keep
-        stages.append(("mul", None, keep))
+        bn = (t[f"bn{i}_gamma"], t[f"bn{i}_beta"], t[f"bn{i}_mean"], t[f"bn{i}_var"])
+        x = staged("bn", f"bn{i}", _bn_forward(x, *bn, 1, train))
+        if train:
+            keep = (x > 0).astype(dtype)  # ReLU
+            if dropout:
+                drop = np.zeros_like(x)
+                clips = (drop[b, :, :, :length] for b, length in enumerate(lengths))
+                _fill_dropout(clips, rngs, config.dropout_p)
+                keep *= drop
+            elif padded:
+                keep *= valid
+            x = staged("mul", None, (x * keep, keep))
+        else:
+            np.maximum(x, 0, out=x)  # ReLU, with no mask to keep
+            if padded:
+                x *= valid
 
     # (B, C, F, W) -> (B, W, F*C), feature index = f * C + c
     x = np.ascontiguousarray(x.transpose(0, 3, 2, 1))
-    stages.append(("flatten", None, x.shape))
-    x = x.reshape(n, width, -1)
+    x = staged("flatten", None, (x.reshape(n, width, -1), x.shape))
 
     steps = lengths
     if config.frame_doubling:
-        x = frame_double(x)
+        x = staged("double", None, (frame_double(x), None))
         steps = 2 * lengths
-        stages.append(("double", None, None))
 
     order = _time_major(steps, x.shape[1])
     for l in range(config.recurrent_layers):
-        x, cache = _bilstm_forward(x, t, f"rnn{l}", order)
-        stages.append(("bilstm", l, cache))
+        x = staged("bilstm", l, _bilstm_forward(x, t, f"rnn{l}", order))
         if l < config.recurrent_layers - 1:
             if train:
                 for b, s in enumerate(steps):
                     bn_moments[b][f"rbn{l}"] = (x[b, :s].mean(axis=0), x[b, :s].var(axis=0))
-            x, cache = _bn_forward(
-                x, t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"], 2
-            )
-            stages.append(("bn", f"rbn{l}", cache))
+            bn = (t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"])
+            x = staged("bn", f"rbn{l}", _bn_forward(x, *bn, 2, train))
     if dropout:
         drop = np.zeros_like(x)
         _fill_dropout((drop[b, :s] for b, s in enumerate(steps)), rngs, config.dropout_p)
-        x = x * drop
-        stages.append(("mul", None, drop))
+        x = staged("mul", None, (x * drop, drop))
 
-    logits = x @ t["out_w"] + t["out_b"]
-    stages.append(("out", None, x))
-    log_probs = _log_softmax(logits)
+    x = staged("out", None, (x @ t["out_w"] + t["out_b"], x))
+    log_probs = _log_softmax(x)
     grids = [log_probs[b, :s] for b, s in enumerate(steps)]
     if not train:
         return grids
@@ -607,9 +681,9 @@ def sgd_nesterov_step(
 ) -> None:
     """In-place Nesterov momentum update.
 
-    v <- mu * v + g;  p <- p - lr * (g + mu * v). Updated tensors keep the
-    parameter dtype, so float32 training state round-trips checkpoints
-    exactly.
+    v <- mu * v + g;  p <- p - lr * (g + mu * v), both written into the
+    existing arrays, so float32 training state stays float32 and
+    round-trips checkpoints exactly.
     """
     for name in params.trainable:
         if name not in grads:
@@ -617,11 +691,13 @@ def sgd_nesterov_step(
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient for {name} is not finite")
-        p = params.tensors[name]
         v = velocity[name]
-        v_new = (momentum * v + g).astype(p.dtype)
-        velocity[name] = v_new
-        params.tensors[name] = (p - lr * (g + momentum * v_new)).astype(p.dtype)
+        v *= momentum
+        v += g
+        step = v * momentum
+        step += g
+        step *= lr
+        params.tensors[name] -= step
 
 
 def zero_velocity(params: ModelParams) -> dict[str, np.ndarray]:
@@ -689,8 +765,9 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
 
     The parameters are views into one float32 array and the velocities into
     another. Raises :class:`CheckpointError` on any version but
-    :data:`CHECKPOINT_VERSION`, on a malformed header, and on a payload of
-    any length but the one its model configuration implies; raises
+    :data:`CHECKPOINT_VERSION`, on a malformed header, on a payload of
+    any length but the one its model configuration implies, and on a payload
+    holding NaN or infinity; raises
     :class:`VocabularyMismatch` when an expected vocabulary hash is given
     and differs from the stored one.
     """
@@ -727,6 +804,8 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
             flats = [np.empty(count, dtype="<f4") for count in counts]
             if sum(fh.readinto(flat) for flat in flats) != payload_bytes:
                 raise CheckpointError("payload ends early")
+            if not all(np.isfinite(flat).all() for flat in flats):
+                raise CheckpointError("payload holds NaN or infinity")
     except (struct.error, ValueError, KeyError, TypeError, OddFeatureDim) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:

@@ -269,17 +269,21 @@ def _edit_header(path, **changes):
 
 @pytest.mark.parametrize(
     "damage",
-    ["missing_tensor", "trailing_bytes", "version_1", "hidden_units_float", "conv_freq_stride"],
+    ["missing_tensor", "trailing_bytes", "version_1", "hidden_units_float", "conv_freq_stride", "nan_value"],
 )
 def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path, damage):
     ckpt_dir = tiny_dataset["checkpoint_dir"]
     bad = tmp_path / "bad.ckpt"
     data = (ckpt_dir / "best.ckpt").read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    payload = 12 + header_len + 32
     bad.write_bytes(
         {
             "missing_tensor": data[:-4],  # the last velocity's last value is cut off
             "trailing_bytes": data + b"\x00",
             "version_1": data[:4] + struct.pack("<I", 1) + data[8:],
+            # the first parameter value; a NaN once decoded to an empty score with exit 0
+            "nan_value": data[:payload] + struct.pack("<f", float("nan")) + data[payload + 4 :],
         }.get(damage, data)
     )
     if damage == "hidden_units_float":
@@ -630,3 +634,60 @@ def test_damaged_checkpoint_stays_inside_exit_codes(tiny_dataset, cut, flips):
         dsp.write_wav(wav, 0.5 * np.sin(0.05 * np.arange(_FUZZ_SAMPLES)))
         rc = cli.main(["transcribe", str(wav), "--checkpoint", str(checkpoint)])
     assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_MODEL)
+
+
+def _drop_field(raw: bytes, pick: int, jsonl: bool) -> bytes:
+    """Drop one line of a text file or, from a JSON-lines file, one field of one record."""
+    lines = raw.splitlines(keepends=True)
+    if not lines:
+        return raw
+    i = pick % len(lines)
+    if not jsonl:
+        return b"".join(lines[:i] + lines[i + 1 :])
+    record = json.loads(lines[i])
+    del record[sorted(record)[pick // len(lines) % len(record)]]
+    return b"".join(lines[:i] + [json.dumps(record).encode() + b"\n"] + lines[i + 1 :])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(20261018)
+@given(
+    target=st.sampled_from([cli.MANIFEST_FILENAME, cli.VOCAB_FILENAME, "tokens"]),
+    drop=st.one_of(st.none(), st.integers(0, 2**32)),
+    # cut positions and flipped bits are taken modulo the file's length
+    cut=st.one_of(st.none(), st.integers(0, 2**32)),
+    flips=st.lists(st.integers(0, 2**32), max_size=4),
+)
+def test_damaged_dataset_files_stay_inside_exit_codes(tiny_dataset, target, drop, cut, flips):
+    # a manifest, vocabulary or token file with a field or line dropped,
+    # truncated or bit-flipped: train and evaluate exit 1, 2 or 3 and raise
+    # nothing, or exit 0 where the damage left the file valid
+    source = tiny_dataset["manifest"].parent
+    lines = tiny_dataset["manifest"].read_text().splitlines()
+    rows = [r for r in map(json.loads, lines) if r["split"] == "train"][:3]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data = root / "data"
+        for name in [cli.VOCAB_FILENAME] + [r[key] for r in rows for key in ("audio", "tokens")]:
+            (data / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source / name, data / name)
+        (data / cli.MANIFEST_FILENAME).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        path = data / (rows[0]["tokens"] if target == "tokens" else target)
+        raw = path.read_bytes()
+        damaged = bytearray(raw if drop is None else _drop_field(raw, drop, target == cli.MANIFEST_FILENAME))
+        if cut is not None:
+            del damaged[cut % (len(damaged) + 1) :]
+        for bit in flips:
+            bit %= 8 * len(raw)
+            if bit // 8 < len(damaged):
+                damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(damaged))
+        ckpt = root / "ckpt"
+        ckpt.mkdir()
+        shutil.copy(tiny_dataset["checkpoint_dir"] / "best.ckpt", ckpt / "best.ckpt")
+        shutil.copy(data / cli.VOCAB_FILENAME, ckpt / cli.VOCAB_FILENAME)
+        manifest = str(data / cli.MANIFEST_FILENAME)
+        train = ["train", "--config", str(_write_config(root, epochs=0, checkpoint_dir="out")), "--manifest", manifest]
+        evaluate = ["evaluate", "--checkpoint", str(ckpt / "best.ckpt"), "--manifest", manifest, "--split", "train", "--oracle"]
+        for argv in (train, evaluate):
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_MODEL)

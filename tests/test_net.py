@@ -1,5 +1,6 @@
 import contextlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,29 @@ def test_sgd_two_step_closed_form():
     assert np.allclose(params.tensors[name], expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_updates_match_out_of_place_formulas(dtype):
+    rng = np.random.default_rng(12)
+    p, v, g = (rng.normal(size=(7, 5)).astype(dtype) for _ in range(3))
+    lr, mu = 3e-4 / 1.1**7, 0.9
+    v_new = (mu * v + g).astype(dtype)
+    p_new = (p - lr * (g + mu * v_new)).astype(dtype)
+    params = net.ModelParams({"w": p.copy()}, ("w",))
+    velocity = {"w": v.copy()}
+    net.sgd_nesterov_step(params, {"w": g}, velocity, lr, mu)
+    assert np.array_equal(velocity["w"], v_new)
+    assert np.array_equal(params.tensors["w"], p_new)
+
+    drop_p = 0.1
+    out = np.zeros((3, 6, 9), dtype=dtype)
+    views = [out[0, :, :4], out[2]]
+    net._fill_dropout(views, [np.random.default_rng(s) for s in (5, 6)], drop_p)
+    for view, s in zip(views, (5, 6)):
+        expected = (np.random.default_rng(s).random(view.shape) >= drop_p).astype(dtype) / (1 - drop_p)
+        assert np.array_equal(view, expected)
+    assert not out[1].any() and not out[0, :, 4:].any()
+
+
 def test_sgd_rejects_non_finite():
     params = tiny_params(dtype=np.float32)
     velocity = net.zero_velocity(params)
@@ -342,6 +366,64 @@ def test_batch_matches_per_clip_runs(dtype, rtol):
         assert _close(g, expected[name], rtol), name
     for grid, x in zip(net.forward(params, TINY, clips, mode="eval"), clips):
         assert _close(grid, net.forward(params, TINY, [x], mode="eval")[0], rtol)
+
+
+def _reference_conv(x, w, b, dy):
+    """(y, dx, dw, db) of a 3x3 'same' convolution strided by 2 on F, as direct sums over the nine taps."""
+    n, _, f, width = x.shape
+    f_out = -(-f // 2)
+    pad = max(2 * (f_out - 1) + 3 - f, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad // 2, pad - pad // 2), (1, 1)))
+    y = np.zeros((n, len(w), f_out, width)) + b[:, None, None]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ki in range(3):
+        for kj in range(3):
+            window = (slice(None), slice(None), slice(ki, ki + 2 * f_out - 1, 2), slice(kj, kj + width))
+            y += np.einsum("oc,ncij->noij", w[:, :, ki, kj], xp[window])
+            dw[:, :, ki, kj] = np.einsum("noij,ncij->oc", dy, xp[window])
+            dxp[window] += np.einsum("oc,noij->ncij", w[:, :, ki, kj], dy)
+    return y, dxp[:, :, pad // 2 : pad // 2 + f, 1:-1], dw, dy.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("c_in, bins", [(1, 9), (1, 10), (16, 9), (16, 10)])
+def test_conv_matches_direct_sum(dtype, rtol, c_in, bins):
+    # three time tiles, the last one ragged; the second clip is right-padded
+    # with zeros as in a batch, and an odd bin count pads both frequency edges
+    rng = np.random.default_rng(c_in * bins)
+    width = 2 * net.CONV_TILE + 7
+    x = rng.normal(size=(2, c_in, bins, width))
+    x[1, :, :, width - 40 :] = 0.0
+    w = rng.normal(size=(net.CONV_FILTERS, c_in, 3, 3))
+    b = rng.normal(size=net.CONV_FILTERS)
+    dy = rng.normal(size=(2, net.CONV_FILTERS, -(-bins // 2), width))
+    y_ref, dx_ref, dw_ref, db_ref = _reference_conv(x, w, b, dy)
+    y, cache = net._conv_forward(x.astype(dtype), w.astype(dtype), b.astype(dtype), 2)
+    dx, dw, db = net._conv_backward(dy.astype(dtype), w.astype(dtype), cache)
+    for actual, expected in ((y, y_ref), (dx, dx_ref), (dw, dw_ref), (db, db_ref)):
+        assert actual.dtype == dtype and actual.shape == expected.shape
+        assert _close(actual, expected, rtol)
+    _, dw_only, _ = net._conv_backward(dy.astype(dtype), w.astype(dtype), cache, input_grad=False)
+    assert np.array_equal(dw_only, dw)
+
+
+def test_eval_forward_memory_is_bounded_and_released():
+    # a 19 s clip with the default model; a whole-clip 9x im2col and eval-mode
+    # stage caches peaked at 58 MB here
+    config = net.ModelConfig(vocab_size=64)
+    params = net.init_params(config, seed=0)
+    x = np.random.default_rng(0).random((823, 240)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        [grid] = net.forward(params, config, [x], mode="eval")
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 29 * 2**20
+    # nothing survives but the log-probabilities the grid is a view of
+    assert after - before <= grid.base.nbytes + 2**16
 
 
 def _reference_lstm_forward(xp, wh):
