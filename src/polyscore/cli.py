@@ -5,7 +5,8 @@ derived from stable string keys, so a rerun reproduces manifests, token files
 and checkpoints byte for byte.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 model or decoding error.
+3 model or decoding error. ``main`` maps the three base classes of
+:mod:`polyscore.errors` to 1, 2 and 3, and any ``OSError`` to 2.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import codec, ctc, dsp, kern, metrics, net, synth
 from .atomic import atomic_open
+from .errors import ConfigError, DataError, ModelError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,14 +32,6 @@ EXIT_MODEL = 3
 VOCAB_FILENAME = "vocab.txt"
 MANIFEST_FILENAME = "manifest.jsonl"
 LOG_FILENAME = "train_log.txt"
-
-
-class ConfigError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
 
 
 @dataclass
@@ -89,7 +83,10 @@ class RunConfig:
         _voices_for(self, 1)  # raises on amplitudes or decays the synthesizer rejects
         if not isinstance(self.default_tempo, str):
             raise ConfigError("default_tempo must be a string")
-        kern.assign_tempo(self.default_tempo)  # raises on unknown labels
+        try:
+            kern.assign_tempo(self.default_tempo)
+        except kern.UnknownTempoLabel as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def effective_max_duration(self) -> float:
@@ -371,6 +368,8 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
         model_config = net.ModelConfig(vocab_size=len(vocab), **config.model)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model configuration: {exc}") from exc
+    if model_config.input_bins != dsp.N_BINS:
+        raise ConfigError(f"invalid model configuration: input_bins must be {dsp.N_BINS}")
     ckpt_dir = Path(config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(ckpt_dir / VOCAB_FILENAME)
@@ -494,17 +493,11 @@ def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool, orac
             else:
                 frames = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames
                 (hyp,) = _decode(params, model_config, [frames], vocab)
-        except (
-            DataError,
-            dsp.UnsupportedFormat,
-            dsp.WrongSampleRate,
-            dsp.TooShort,
-            OSError,
-        ) as exc:
+            w = metrics.wer(target, hyp)
+            c = metrics.cer(target, hyp)
+        except (DataError, OSError) as exc:
             _diag(f"evaluate: skipping {sample.id}: {exc}")
             continue
-        w = metrics.wer(target, hyp)
-        c = metrics.cer(target, hyp)
         wer_stats.append(w)
         cer_stats.append(c)
         rows.append(
@@ -599,20 +592,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _diag(f"polyscore: config error: {exc}")
         return EXIT_USAGE
-    except (
-        DataError,
-        kern.KernError,
-        codec.EmptyCorpus,
-        dsp.UnsupportedFormat,
-        dsp.WrongSampleRate,
-        dsp.TooShort,
-        net.CheckpointError,
-        metrics.EmptyReference,
-        OSError,
-    ) as exc:
+    except (DataError, OSError) as exc:
         _diag(f"polyscore: data error: {exc}")
         return EXIT_DATA
-    except (net.ShapeMismatch, net.NonFiniteGradient, ctc.InfeasibleLength) as exc:
+    except ModelError as exc:
         _diag(f"polyscore: model error: {exc}")
         return EXIT_MODEL
     return EXIT_USAGE

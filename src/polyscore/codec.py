@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .atomic import atomic_open
+from .errors import DataError, ModelError
 from .kern import CONTINUATION, KernDocument, Row, ScoreEvent
 
 EPSILON = "<eps>"
@@ -29,15 +30,15 @@ _PITCH_RE = re.compile(r"^([A-G])(#|-)?([2-7])$")
 _DURATION_RE = re.compile(r"^(\d+)(\.?)$")
 
 
-class EmptyCorpus(Exception):
+class EmptyCorpus(DataError):
     """Vocabulary construction over zero documents."""
 
 
-class OutOfVocabulary(Exception):
+class OutOfVocabulary(DataError):
     """An event has no symbol in the vocabulary."""
 
 
-class ScoreSyntaxError(Exception):
+class ScoreSyntaxError(ModelError):
     """Token sequence does not form a well-formed score.
 
     Carries the token position where parsing failed and the partial document

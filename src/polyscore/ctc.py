@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ModelError
+
 BLANK = 0
 
 
-class InfeasibleLength(Exception):
+class InfeasibleLength(ModelError):
     """Target cannot be emitted in the given number of frames."""
 
 

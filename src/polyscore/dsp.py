@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
+from .errors import DataError
 
 SAMPLE_RATE = 22050
 WINDOW_SIZE = 2048
@@ -37,15 +38,15 @@ FFT_SIZE = 32768  # DFT grid spacing SAMPLE_RATE / FFT_SIZE resolves adjacent lo
 _CHIRP_SIZE = 5120
 
 
-class UnsupportedFormat(Exception):
+class UnsupportedFormat(DataError):
     """WAV file is not 16-bit PCM mono/stereo."""
 
 
-class WrongSampleRate(Exception):
+class WrongSampleRate(DataError):
     """WAV sample rate differs from 22050 Hz."""
 
 
-class TooShort(Exception):
+class TooShort(DataError):
     """Fewer samples than one analysis window."""
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
+
 CANONICAL_DURATIONS = (1, 2, 4, 8, 16, 32, 64)
 
 STEP_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
@@ -60,7 +62,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class KernError(Exception):
+class KernError(DataError):
     """Base error for kern parsing and preprocessing, tagged with a location."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import TokenSequence, segment_words
+from .errors import DataError
 
 
-class EmptyReference(Exception):
+class EmptyReference(DataError):
     """Error rate against an empty reference is undefined."""
 
 

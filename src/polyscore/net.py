@@ -26,6 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .atomic import atomic_open
+from .errors import DataError, ModelError
 
 BN_EPS = 1e-5
 CONV_FILTERS = 16
@@ -36,23 +37,19 @@ CHECKPOINT_MAGIC = b"PSCK"
 CHECKPOINT_VERSION = 2
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(ModelError):
     """Input does not match the configured geometry."""
-
-
-class OddFeatureDim(Exception):
-    """Frame doubling requires an even feature dimension."""
 
 
 class StaleCache(Exception):
     """Backward called without a fresh train-mode forward cache."""
 
 
-class NonFiniteGradient(Exception):
+class NonFiniteGradient(ModelError):
     """A gradient tensor contains NaN or infinity."""
 
 
-class CheckpointError(Exception):
+class CheckpointError(DataError):
     """Checkpoint file is unreadable or malformed."""
 
 
@@ -123,8 +120,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     h = config.hidden_units
     feat = config.frame_features()
     if config.frame_doubling:
-        if feat % 2:
-            raise OddFeatureDim(f"feature dim {feat} must be even for frame doubling")
         feat //= 2
     for l in range(config.recurrent_layers):
         for direction in ("fwd", "bwd"):
@@ -461,16 +456,12 @@ def frame_double(features: np.ndarray) -> np.ndarray:
     Works on (..., frames, dim) arrays; time is the second-to-last axis.
     """
     *lead, length, dim = features.shape
-    if dim % 2:
-        raise OddFeatureDim(f"feature dim {dim} is odd")
     return features.reshape(*lead, 2 * length, dim // 2)
 
 
 def frame_undouble(features: np.ndarray) -> np.ndarray:
     """Inverse of :func:`frame_double`."""
     *lead, length, dim = features.shape
-    if length % 2:
-        raise OddFeatureDim(f"frame count {length} is odd")
     return features.reshape(*lead, length // 2, 2 * dim)
 
 
@@ -806,7 +797,7 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
                 raise CheckpointError("payload ends early")
             if not all(np.isfinite(flat).all() for flat in flats):
                 raise CheckpointError("payload holds NaN or infinity")
-    except (struct.error, ValueError, KeyError, TypeError, OddFeatureDim) as exc:
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise VocabularyMismatch("checkpoint vocabulary hash does not match")

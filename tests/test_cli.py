@@ -420,6 +420,7 @@ def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monke
         {"recurrent_layers": 0},
         {"frame_doubling": 1},
         {"conv_kernel": 3},  # a field of version 1 configurations
+        {"input_bins": 120},  # the spectrogram has 240 bins
     ):
         bad = _write_config(tmp_path, model=model)
         rc = cli.main(["train", "--config", str(bad), "--manifest", str(tiny_dataset["manifest"])])
@@ -428,7 +429,7 @@ def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monke
 
 def test_config_with_wrong_types_is_usage_error(tmp_path):
     path = tmp_path / "types.json"
-    for raw in ({"seed": "not-a-number"}, {"default_tempo": 5}):
+    for raw in ({"seed": "not-a-number"}, {"default_tempo": 5}, {"default_tempo": "zzz"}):
         path.write_text(json.dumps(raw))
         assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE, raw
 
@@ -508,7 +509,9 @@ def test_malformed_inputs_exit_with_documented_code(tiny_dataset, tmp_path, caps
         assert cli.main(evaluate) == cli.EXIT_DATA
 
 
-@pytest.mark.parametrize("tokens", ["999\n", ""], ids=["out_of_range", "empty"])
+@pytest.mark.parametrize(
+    "tokens", ["999\n", "", "x\n", "2\n"], ids=["out_of_range", "empty", "not_a_number", "no_words"]
+)
 def test_evaluate_skips_sample_with_malformed_tokens(tiny_dataset, tmp_path, capsys, tokens):
     data = tmp_path / "data"
     shutil.copytree(tiny_dataset["manifest"].parent, data)

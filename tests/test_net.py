@@ -20,8 +20,10 @@ def test_frame_double_examples():
     out = net.frame_double(np.arange(6.0).reshape(3, 2))
     assert out.shape == (6, 1)
     assert out.ravel().tolist() == [0, 1, 2, 3, 4, 5]
-    with pytest.raises(net.OddFeatureDim):
+    with pytest.raises(ValueError):  # an odd feature dimension cannot be split
         net.frame_double(np.ones((2, 5)))
+    with pytest.raises(ValueError):
+        net.frame_undouble(np.ones((3, 2)))
 
 
 def test_frame_double_undouble_identity():
