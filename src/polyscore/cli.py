@@ -56,13 +56,14 @@ class RunConfig:
     voices: list | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
-        for name in ("min_measures", "max_measures", "batch_size", "epochs"):
-            if not isinstance(getattr(self, name), int):
+        for name in ("seed", "min_measures", "max_measures", "batch_size", "epochs"):
+            if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
+        for name in ("fragment_enabled", "overlap_train", "tempo_jitter"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigError(f"{name} must be true or false")
         fractions = (self.train_fraction, self.validation_fraction, self.test_fraction)
-        if not all(isinstance(f, (int, float)) for f in fractions):
+        if not all(_is_number(f) for f in fractions):
             raise ConfigError("split fractions must be numbers")
         if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
             raise ConfigError("split fractions must be non-negative and sum to 1")
@@ -72,8 +73,8 @@ class RunConfig:
             raise ConfigError("need 1 <= min_measures <= max_measures")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.max_duration_s is not None and self.max_duration_s <= 0:
-            raise ConfigError("max_duration_s must be positive")
+        if self.max_duration_s is not None and not (_is_number(self.max_duration_s) and self.max_duration_s > 0):
+            raise ConfigError("max_duration_s must be a positive number")
         for voice in self.voices or ():
             harmonics = voice.get("harmonics") if isinstance(voice, dict) else None
             if not isinstance(harmonics, list) or not all(_is_number(a) for a in harmonics):
@@ -326,13 +327,16 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str, ...]):
-    """Load (id, spectrogram frames, target) triples for the requested splits."""
+    """Load (id, spectrogram frames, target) triples for the requested splits.
+
+    The frames are kept as float32, the dtype the network rounds them to.
+    """
     base = manifest_path.parent
     loaded = {s: [] for s in splits}
     for sample in read_manifest(manifest_path):
         if sample.split not in splits:
             continue
-        spec = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames
+        spec = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames.astype(np.float32)
         target = _read_tokens(base / sample.tokens, vocab)
         loaded[sample.split].append((sample.id, spec, target))
     return loaded

@@ -280,31 +280,34 @@ def _conv_backward(dy, w, cache, input_grad=True):
 
 
 def _bn_forward(x, gamma, beta, mean, var, channel_axis, train):
-    """Normalize with the running statistics; eval mode overwrites ``x`` and keeps no cache."""
+    """Normalize with the running statistics, overwriting ``x``.
+
+    ``x`` becomes the normalized input: the train-mode cache, or in eval
+    mode the output itself, so eval keeps no cache.
+    """
     shape = [1] * x.ndim
     shape[channel_axis] = -1
     inv = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
+    x -= mean.reshape(shape)
+    x *= inv
+    y = x * gamma.reshape(shape) if train else np.multiply(x, gamma.reshape(shape), out=x)
+    y += beta.reshape(shape)
     if not train:
-        # the train-mode arithmetic below, one operation at a time in place
-        x -= mean.reshape(shape)
-        x *= inv
-        x *= gamma.reshape(shape)
-        x += beta.reshape(shape)
-        return x, None
-    xhat = (x - mean.reshape(shape)) * inv
-    y = gamma.reshape(shape) * xhat + beta.reshape(shape)
+        return y, None
     reduce_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
-    return y, (xhat, inv, gamma, channel_axis, reduce_axes)
+    return y, (x, inv, gamma, channel_axis, reduce_axes)
 
 
 def _bn_backward(dy, cache):
+    """Gradients of a train-mode :func:`_bn_forward`; ``dy`` becomes the input gradient."""
     xhat, inv, gamma, channel_axis, reduce_axes = cache
     shape = [1] * dy.ndim
     shape[channel_axis] = -1
     dgamma = (dy * xhat).sum(axis=reduce_axes)
     dbeta = dy.sum(axis=reduce_axes)
-    dx = dy * gamma.reshape(shape) * inv
-    return dx, dgamma, dbeta
+    dy *= gamma.reshape(shape)
+    dy *= inv
+    return dy, dgamma, dbeta
 
 
 def _lstm_forward(xp, wh):
@@ -428,7 +431,9 @@ def _bilstm_forward(x, params, name, order):
     wh = np.stack([params[f"{name}_fwd_wh"], params[f"{name}_bwd_wh"]])
     h_units = wh.shape[1]
     # one projection for both directions, gathered straight into time-major order
-    proj = (x.reshape(-1, inputs) @ wx + b).reshape(-1, 4 * h_units)[to_time]
+    proj = x.reshape(-1, inputs) @ wx
+    proj += b
+    proj = proj.reshape(-1, 4 * h_units)[to_time]
     h_both, cache = _lstm_forward(proj, wh)
     y = h_both.reshape(-1, h_units)[to_batch].reshape(n, length, 2 * h_units)
     return y, (cache, name, order, x, wx)
@@ -470,12 +475,41 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _fill_dropout(views, rngs, p: float) -> None:
-    """Write inverted-dropout multipliers into each clip's view, one generator per clip."""
+def _drop_units(views, rngs, p: float) -> None:
+    """Clear the dropped units in each clip's boolean keep view, one generator per clip.
+
+    A unit stays where ``rng.random(view.shape) >= p``. A (C, F, T) conv
+    view draws one channel at a time: in C order that is the same stream as
+    one draw of the whole view, and the float draws never take more memory
+    than a channel.
+    """
     for view, rng in zip(views, rngs):
-        np.greater_equal(rng.random(view.shape), p, out=view)
-        # a division, as multiplying by 1 / (1 - p) would round differently
-        view /= 1 - p
+        for block in view if view.ndim > 2 else (view,):
+            block &= rng.random(block.shape) >= p
+
+
+def _apply_keep(x, keep, scale):
+    """Multiply ``x`` in place by the inverted-dropout multipliers ``keep * scale``.
+
+    Bitwise ``x * (keep * scale)`` for a boolean ``keep``: a kept unit's
+    product by one is exact, and a cleared unit gives ``x * 0``, a zero with
+    the sign of ``x``, which the positive ``scale`` keeps.
+    """
+    x *= keep
+    if scale != 1:
+        x *= scale
+    return x
+
+
+def _keep_grad(dx, keep, scale):
+    """``dx * (keep * scale)`` as a new array in the C order of ``keep``.
+
+    After the conv stages ``dx`` is a transposed view; the batch-norm and
+    bias gradient sums read the product, and their rounding depends on its
+    layout.
+    """
+    mask = np.multiply(keep, scale, dtype=dx.dtype)
+    return np.multiply(mask, dx, out=mask)
 
 
 @dataclass(eq=False)
@@ -552,7 +586,10 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
     x = np.zeros((n, 1, config.input_bins, width), dtype=dtype)
     for b, f in enumerate(frames):
         x[b, 0, :, : len(f)] = f.T
-    valid = (np.arange(width) < lengths[:, None]).astype(dtype)[:, None, None, :]
+    valid = (np.arange(width) < lengths[:, None])[:, None, None, :]
+    # train mode keeps a boolean mask per "mul" stage, and one multiplier; a
+    # division, as multiplying by 1 / (1 - p) would round differently
+    scale = dtype.type(1) / dtype.type(1 - config.dropout_p)
     for i in range(config.conv_layers):
         x = staged("conv", i, _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], CONV_FREQ_STRIDE))
         if train:
@@ -562,15 +599,12 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
         bn = (t[f"bn{i}_gamma"], t[f"bn{i}_beta"], t[f"bn{i}_mean"], t[f"bn{i}_var"])
         x = staged("bn", f"bn{i}", _bn_forward(x, *bn, 1, train))
         if train:
-            keep = (x > 0).astype(dtype)  # ReLU
+            keep = x > 0  # ReLU
+            if padded:
+                keep &= valid
             if dropout:
-                drop = np.zeros_like(x)
-                clips = (drop[b, :, :, :length] for b, length in enumerate(lengths))
-                _fill_dropout(clips, rngs, config.dropout_p)
-                keep *= drop
-            elif padded:
-                keep *= valid
-            x = staged("mul", None, (x * keep, keep))
+                _drop_units([keep[b, :, :, :length] for b, length in enumerate(lengths)], rngs, config.dropout_p)
+            x = staged("mul", None, (_apply_keep(x, keep, scale), (keep, scale)))
         else:
             np.maximum(x, 0, out=x)  # ReLU, with no mask to keep
             if padded:
@@ -595,9 +629,11 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
             bn = (t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"])
             x = staged("bn", f"rbn{l}", _bn_forward(x, *bn, 2, train))
     if dropout:
-        drop = np.zeros_like(x)
-        _fill_dropout((drop[b, :s] for b, s in enumerate(steps)), rngs, config.dropout_p)
-        x = staged("mul", None, (x * drop, drop))
+        keep = np.zeros(x.shape, dtype=bool)
+        for b, s in enumerate(steps):
+            keep[b, :s] = True
+        _drop_units([keep[b, :s] for b, s in enumerate(steps)], rngs, config.dropout_p)
+        x = staged("mul", None, (_apply_keep(x, keep, scale), (keep, scale)))
 
     x = staged("out", None, (x @ t["out_w"] + t["out_b"], x))
     log_probs = _log_softmax(x)
@@ -633,7 +669,7 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
             grads["out_b"] = dx.sum(axis=(0, 1))
             dx = dx @ out_w.T
         elif kind == "mul":
-            dx = dx * data
+            dx = _keep_grad(dx, *data)
         elif kind == "bn":
             dx, dgamma, dbeta = _bn_backward(dx, data)
             grads[f"{key}_gamma"] = dgamma

@@ -173,6 +173,14 @@ def test_train_smoke_writes_checkpoints_and_log(tiny_dataset):
     assert "loss" in log_lines[0] and "val_wer" in log_lines[0]
 
 
+def test_load_split_keeps_float32_frames(tiny_dataset):
+    # the network rounds its input to float32, so training holds the frames so
+    vocab = cli._read_vocabulary(tiny_dataset["checkpoint_dir"] / cli.VOCAB_FILENAME)
+    loaded = cli._load_split(tiny_dataset["manifest"], vocab, ("train", "validation"))
+    frames = [spec for split in loaded.values() for _, spec, _ in split]
+    assert frames and all(spec.dtype == np.float32 and spec.shape[1] == dsp.N_BINS for spec in frames)
+
+
 def test_best_checkpoint_tracks_lowest_wer(tmp_path, monkeypatch):
     make_corpus(tmp_path / "corpus", n_scores=3, seed=4, two_voice_every=0)
     config = cli.RunConfig.from_file(_write_config(tmp_path, epochs=3))
@@ -429,7 +437,18 @@ def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monke
 
 def test_config_with_wrong_types_is_usage_error(tmp_path):
     path = tmp_path / "types.json"
-    for raw in ({"seed": "not-a-number"}, {"default_tempo": 5}, {"default_tempo": "zzz"}):
+    wrong = (
+        {"seed": "not-a-number"},
+        {"default_tempo": 5},
+        {"default_tempo": "zzz"},
+        # flags must be booleans, and a boolean is not a count or a number
+        {"fragment_enabled": "no"},
+        {"tempo_jitter": 1},
+        {"batch_size": True},
+        {"max_duration_s": True},
+        {"train_fraction": True, "validation_fraction": 0, "test_fraction": 0},
+    )
+    for raw in wrong:
         path.write_text(json.dumps(raw))
         assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE, raw
 

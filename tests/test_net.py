@@ -207,14 +207,38 @@ def test_in_place_updates_match_out_of_place_formulas(dtype):
     assert np.array_equal(velocity["w"], v_new)
     assert np.array_equal(params.tensors["w"], p_new)
 
+    # boolean keep masks and one multiplier against the float masks they
+    # replaced, on a conv activation (B, C, F, T) with ReLU and an LSTM
+    # output (B, T, H) without; every clip leaves padded frames but the second
     drop_p = 0.1
-    out = np.zeros((3, 6, 9), dtype=dtype)
-    views = [out[0, :, :4], out[2]]
-    net._fill_dropout(views, [np.random.default_rng(s) for s in (5, 6)], drop_p)
-    for view, s in zip(views, (5, 6)):
-        expected = (np.random.default_rng(s).random(view.shape) >= drop_p).astype(dtype) / (1 - drop_p)
-        assert np.array_equal(view, expected)
-    assert not out[1].any() and not out[0, :, 4:].any()
+    scale = dtype(1) / dtype(1 - drop_p)
+    lengths, seeds = (4, 9, 7), (5, 6, 7)
+    for shape, relu in (((3, 4, 6, 9), True), ((3, 9, 6), False)):
+        x, dx = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+        for a in (x, dx):
+            a[a < -1] = -0.0
+            a[a > 1.5] = 0.0
+        frames = [(b, Ellipsis, slice(t)) if relu else (b, slice(t)) for b, t in enumerate(lengths)]
+        drop = np.zeros(shape, dtype=dtype)
+        valid = np.zeros(shape, dtype=bool)
+        for index, seed in zip(frames, seeds):
+            valid[index] = True
+            draws = np.random.default_rng(seed).random(drop[index].shape)
+            drop[index] = (draws >= drop_p).astype(dtype) / (1 - drop_p)
+        float_keep = (x > 0).astype(dtype) * drop if relu else drop
+        keep = (x > 0) & valid if relu else valid
+        net._drop_units([keep[index] for index in frames], [np.random.default_rng(s) for s in seeds], drop_p)
+        # backward meets the conv stages' gradient as a transposed view
+        dx_view = np.asfortranarray(dx)
+        checks = (
+            (x * float_keep, net._apply_keep(x.copy(), keep, scale)),
+            (dx * float_keep, net._keep_grad(dx_view, keep, scale)),
+        )
+        for expected, actual in checks:
+            assert actual.dtype == dtype and actual.flags.c_contiguous
+            assert np.array_equal(actual, expected)
+            assert np.array_equal(np.signbit(actual), np.signbit(expected))
+        assert np.signbit(x * float_keep).any() and np.signbit(dx * float_keep).any()
 
 
 def test_sgd_rejects_non_finite():
@@ -426,6 +450,27 @@ def test_eval_forward_memory_is_bounded_and_released():
     assert peak - before <= 29 * 2**20
     # nothing survives but the log-probabilities the grid is a view of
     assert after - before <= grid.base.nbytes + 2**16
+
+
+def test_train_step_memory_is_bounded():
+    # the toy model on a padded batch of four clips; float32 ReLU x dropout
+    # masks, a separate batch-norm output and full-size temporaries kept
+    # 30.8 MB after the forward and peaked at 35.5 MB here
+    config = net.ModelConfig(vocab_size=25, hidden_units=64, frame_doubling=False)
+    params = net.init_params(config, seed=0)
+    rng = np.random.default_rng(0)
+    specs = [rng.random((frames, 240)).astype(np.float32) for frames in (165, 150, 120, 90)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grids, cache = net.forward(params, config, specs, mode="train", rng_seed=[1, 2, 3, 4])
+        retained = tracemalloc.get_traced_memory()[0] - before
+        net.backward(cache, [np.ones_like(grid) for grid in grids])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 27 * 2**20
+    assert peak <= 31 * 2**20
 
 
 def _reference_lstm_forward(xp, wh):
