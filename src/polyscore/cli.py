@@ -49,11 +49,9 @@ class RunConfig:
     overlap_train: bool = True
     default_tempo: str = "allegro"
     tempo_jitter: bool = True
-    max_duration_s: float | None = None
     batch_size: int = 4
     epochs: int = 1
     model: dict = field(default_factory=dict)
-    voices: list | None = None
 
     def validate(self) -> None:
         for name in ("seed", "min_measures", "max_measures", "batch_size", "epochs"):
@@ -73,27 +71,12 @@ class RunConfig:
             raise ConfigError("need 1 <= min_measures <= max_measures")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.max_duration_s is not None and not (_is_number(self.max_duration_s) and self.max_duration_s > 0):
-            raise ConfigError("max_duration_s must be a positive number")
-        for voice in self.voices or ():
-            harmonics = voice.get("harmonics") if isinstance(voice, dict) else None
-            if not isinstance(harmonics, list) or not all(_is_number(a) for a in harmonics):
-                raise ConfigError("each voice needs a list of numbers as harmonics")
-            if not _is_number(voice.get("decay", 3.0)):
-                raise ConfigError("voice decay must be a number")
-        _voices_for(self, 1)  # raises on amplitudes or decays the synthesizer rejects
         if not isinstance(self.default_tempo, str):
             raise ConfigError("default_tempo must be a string")
         try:
             kern.assign_tempo(self.default_tempo)
         except kern.UnknownTempoLabel as exc:
             raise ConfigError(str(exc)) from exc
-
-    @property
-    def effective_max_duration(self) -> float:
-        if self.max_duration_s is not None:
-            return self.max_duration_s
-        return 30.0 if self.fragment_enabled else 120.0
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -186,31 +169,6 @@ def _read_tokens(path, vocab: codec.Vocabulary) -> codec.TokenSequence:
         raise DataError(f"cannot read token file {path}: {exc}") from exc
 
 
-def _read_vocabulary(path) -> codec.Vocabulary:
-    try:
-        return codec.Vocabulary.load(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
-
-
-def _resolve_tempo_label(doc: kern.KernDocument, default: str) -> str:
-    if doc.tempo_text:
-        key = " ".join(doc.tempo_text.split()).lower()
-        if key in kern.TEMPO_MAP:
-            return doc.tempo_text
-    return default
-
-
-def _voices_for(config: RunConfig, spine_count: int) -> list[synth.SynthVoiceSpec]:
-    if not config.voices:
-        return synth.voices_for(spine_count)
-    specs = [
-        synth.SynthVoiceSpec(tuple(v["harmonics"]), float(v.get("decay", 3.0)))
-        for v in config.voices
-    ]
-    return [specs[i % len(specs)] for i in range(spine_count)]
-
-
 def cmd_build(config: RunConfig) -> int:
     """Corpus -> preprocessed fragments -> synthesized WAVs + token targets."""
     corpus = Path(config.corpus_dir)
@@ -280,24 +238,24 @@ def cmd_build(config: RunConfig) -> int:
 
     samples: list[Sample] = []
     tones: dict = {}  # note cache shared by every fragment of this build
+    max_duration = 30.0 if config.fragment_enabled else 120.0
     for sample_id, split, doc in fragments:
-        tempo_label = _resolve_tempo_label(doc, config.default_tempo)
         tempo_seed = _subseed(config.seed, "tempo", sample_id) if config.tempo_jitter else None
-        tempo = kern.assign_tempo(tempo_label, tempo_seed)
+        try:
+            tempo = kern.assign_tempo(doc.tempo_text or "", tempo_seed)
+        except kern.UnknownTempoLabel:  # raised before the jitter draw
+            tempo = kern.assign_tempo(config.default_tempo, tempo_seed)
         try:
             seq = codec.encode(doc, vocab)
         except codec.OutOfVocabulary as exc:
             failures += 1
             _diag(f"build: skipping {sample_id}: {exc}")
             continue
-        audio = synth.render(doc, tempo, _voices_for(config, doc.spine_count), tones)
+        audio = synth.render(doc, tempo, tones=tones)
         duration = audio.size / dsp.SAMPLE_RATE
-        if duration > config.effective_max_duration:
+        if duration > max_duration:
             failures += 1
-            _diag(
-                f"build: skipping {sample_id}: {duration:.1f}s exceeds "
-                f"{config.effective_max_duration:.0f}s limit"
-            )
+            _diag(f"build: skipping {sample_id}: {duration:.1f}s exceeds {max_duration:.0f}s limit")
             continue
         if audio.size < dsp.WINDOW_SIZE:
             failures += 1
@@ -345,7 +303,7 @@ def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str,
 def _decode(params, model_config, specs, vocab) -> list[codec.TokenSequence]:
     """Greedy transcription of each clip's (W, bins) frames, in one eval forward."""
     grids = net.forward(params, model_config, specs, mode="eval")
-    return [ctc.collapse(ctc.greedy_decode(grid), vocab) for grid in grids]
+    return [codec.TokenSequence(tuple(ctc.collapse(ctc.greedy_decode(grid))), vocab) for grid in grids]
 
 
 def _validation_rates(params, model_config, vocab, samples, batch_size) -> tuple[float, float]:
@@ -362,10 +320,7 @@ def _validation_rates(params, model_config, vocab, samples, batch_size) -> tuple
 def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     """Train with the annealed-restart schedule, tracking the best model by WER."""
     manifest_path = Path(manifest_path)
-    vocab_path = manifest_path.parent / VOCAB_FILENAME
-    if not vocab_path.exists():
-        raise DataError(f"vocabulary file {vocab_path} not found")
-    vocab = _read_vocabulary(vocab_path)
+    vocab = codec.Vocabulary.load(manifest_path.parent / VOCAB_FILENAME)
     vocab_hash = vocab.sha256()
 
     try:
@@ -455,11 +410,7 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
 
 
 def _load_model(checkpoint_path):
-    checkpoint_path = Path(checkpoint_path)
-    vocab_path = checkpoint_path.parent / VOCAB_FILENAME
-    if not vocab_path.exists():
-        raise DataError(f"vocabulary file {vocab_path} not found next to checkpoint")
-    vocab = _read_vocabulary(vocab_path)
+    vocab = codec.Vocabulary.load(Path(checkpoint_path).parent / VOCAB_FILENAME)
     model_config, params, _, _ = net.load_checkpoint(checkpoint_path, expected_vocab_hash=vocab.sha256())
     return vocab, model_config, params
 

@@ -101,11 +101,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines = lines[:-1]
-        return cls(symbols=tuple(_unescape(s) for s in lines))
+        """Read a file written by :meth:`save`; a malformed one raises DataError naming it."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+            if lines and lines[-1] == "":
+                lines = lines[:-1]
+            return cls(symbols=tuple(_unescape(s) for s in lines))
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
 
     def sha256(self) -> bytes:
         payload = "\n".join(_escape(s) for s in self.symbols).encode("utf-8")

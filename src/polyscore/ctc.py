@@ -105,12 +105,8 @@ def greedy_decode(log_probs) -> np.ndarray:
     return np.argmax(log_probs, axis=1)
 
 
-def collapse(labels, vocab=None):
-    """Merge runs of equal labels, then delete blanks.
-
-    Returns a plain list of labels, or a :class:`codec.TokenSequence` when a
-    vocabulary is given.
-    """
+def collapse(labels) -> list[int]:
+    """Merge runs of equal labels, then delete blanks."""
     out: list[int] = []
     prev = None
     for raw in labels:
@@ -119,8 +115,4 @@ def collapse(labels, vocab=None):
             if label != BLANK:
                 out.append(label)
             prev = label
-    if vocab is None:
-        return out
-    from .codec import TokenSequence
-
-    return TokenSequence(tokens=tuple(out), vocab=vocab)
+    return out

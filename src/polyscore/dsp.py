@@ -52,22 +52,17 @@ class TooShort(DataError):
 
 @dataclass(eq=False)
 class AudioClip:
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+    samples: np.ndarray  # at SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if self.sample_rate != SAMPLE_RATE:
-            raise WrongSampleRate(f"expected {SAMPLE_RATE} Hz, got {self.sample_rate}")
 
 
 @dataclass(eq=False)
 class Spectrogram:
-    frames: np.ndarray  # (W, 240) float64
-    hop_seconds: float
-    bin_frequencies: np.ndarray
+    frames: np.ndarray  # (W, 240) float64, HOP_SIZE samples apart
 
 
 def bin_frequencies() -> np.ndarray:
@@ -114,16 +109,16 @@ def load_wav(path) -> AudioClip:
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
-    return AudioClip(samples=data, sample_rate=rate)
+    return AudioClip(samples=data)
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
-    """Write mono float samples in [-1, 1] as 16-bit PCM."""
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write mono float samples in [-1, 1] as 16-bit PCM at SAMPLE_RATE."""
     pcm = np.clip(np.round(np.asarray(samples, dtype=np.float64) * 32768.0), -32768, 32767)
     with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(pcm.astype("<i2").tobytes())
 
 
@@ -237,8 +232,4 @@ def stft_logfreq(clip: AudioClip) -> Spectrogram:
         band = _band_magnitudes(frames[start:stop], scratch[: stop - start])
         for rows, cols, block in blocks:
             np.matmul(band[:, rows], block, out=out[start:stop, cols])
-    return Spectrogram(
-        frames=np.log1p(out),
-        hop_seconds=HOP_SIZE / SAMPLE_RATE,
-        bin_frequencies=bin_frequencies(),
-    )
+    return Spectrogram(frames=np.log1p(out))

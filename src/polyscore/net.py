@@ -29,12 +29,14 @@ from .atomic import atomic_open
 from .errors import DataError, ModelError
 
 BN_EPS = 1e-5
+CONV_LAYERS = 2
+RECURRENT_LAYERS = 2
 CONV_FILTERS = 16
 CONV_KERNEL = 3
 CONV_FREQ_STRIDE = 2
 CONV_TILE = 128  # output frames per lowered time tile of a convolution
 CHECKPOINT_MAGIC = b"PSCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ShapeMismatch(ModelError):
@@ -61,14 +63,12 @@ class VocabularyMismatch(CheckpointError):
 class ModelConfig:
     vocab_size: int
     input_bins: int = 240
-    conv_layers: int = 2
-    recurrent_layers: int = 2
     hidden_units: int = 64
     dropout_p: float = 0.1
     frame_doubling: bool = True
 
     def __post_init__(self):
-        for name in ("vocab_size", "input_bins", "conv_layers", "recurrent_layers", "hidden_units"):
+        for name in ("vocab_size", "input_bins", "hidden_units"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -81,7 +81,7 @@ class ModelConfig:
 
     def conv_feature_dims(self) -> list[int]:
         dims = [self.input_bins]
-        for _ in range(self.conv_layers):
+        for _ in range(CONV_LAYERS):
             dims.append(-(-dims[-1] // CONV_FREQ_STRIDE))
         return dims
 
@@ -112,7 +112,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     c = CONV_FILTERS
     k = CONV_KERNEL
     in_ch = 1
-    for i in range(config.conv_layers):
+    for i in range(CONV_LAYERS):
         shapes[f"conv{i}_w"] = (c, in_ch, k, k)
         for name in (f"conv{i}_b", f"bn{i}_gamma", f"bn{i}_beta", f"bn{i}_mean", f"bn{i}_var"):
             shapes[name] = (c,)
@@ -121,12 +121,12 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     feat = config.frame_features()
     if config.frame_doubling:
         feat //= 2
-    for l in range(config.recurrent_layers):
+    for l in range(RECURRENT_LAYERS):
         for direction in ("fwd", "bwd"):
             shapes[f"rnn{l}_{direction}_wx"] = (feat, 4 * h)
             shapes[f"rnn{l}_{direction}_wh"] = (h, 4 * h)
             shapes[f"rnn{l}_{direction}_b"] = (4 * h,)
-        if l < config.recurrent_layers - 1:
+        if l < RECURRENT_LAYERS - 1:
             for stat in ("gamma", "beta", "mean", "var"):
                 shapes[f"rbn{l}_{stat}"] = (2 * h,)
         feat = 2 * h
@@ -590,7 +590,7 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
     # train mode keeps a boolean mask per "mul" stage, and one multiplier; a
     # division, as multiplying by 1 / (1 - p) would round differently
     scale = dtype.type(1) / dtype.type(1 - config.dropout_p)
-    for i in range(config.conv_layers):
+    for i in range(CONV_LAYERS):
         x = staged("conv", i, _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], CONV_FREQ_STRIDE))
         if train:
             for b, length in enumerate(lengths):
@@ -620,9 +620,9 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
         steps = 2 * lengths
 
     order = _time_major(steps, x.shape[1])
-    for l in range(config.recurrent_layers):
+    for l in range(RECURRENT_LAYERS):
         x = staged("bilstm", l, _bilstm_forward(x, t, f"rnn{l}", order))
-        if l < config.recurrent_layers - 1:
+        if l < RECURRENT_LAYERS - 1:
             if train:
                 for b, s in enumerate(steps):
                     bn_moments[b][f"rbn{l}"] = (x[b, :s].mean(axis=0), x[b, :s].var(axis=0))

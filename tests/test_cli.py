@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from _toycorpus import make_corpus
+from _toycorpus import make_corpus, make_score
 from polyscore import cli, codec, dsp, net
 
 
@@ -115,6 +115,23 @@ def test_rebuild_writes_identical_wavs(tmp_path):
     assert wavs[0] and wavs[0] == wavs[1]
 
 
+@pytest.mark.parametrize("jitter", [False, True])
+def test_unknown_tempo_label_builds_at_the_default_tempo(tmp_path, jitter):
+    # an !!!OMD label the tempo table lacks falls back to default_tempo
+    # ("presto"), with the same jitter draw as a score labelled so
+    body = make_score(seed=3, n_measures=4).split("\n", 1)[1]
+    wavs = {}
+    for label in ("No such tempo", "Presto", "Largo"):
+        root = tmp_path / label.replace(" ", "_")
+        (root / "corpus").mkdir(parents=True)
+        (root / "corpus" / "score.krn").write_text(f"!!!OMD: {label}\n{body}")
+        splits = {"train_fraction": 1.0, "validation_fraction": 0.0, "test_fraction": 0.0}
+        config_path = _write_config(root, fragment_enabled=False, tempo_jitter=jitter, **splits)
+        assert cli.main(["build", "--config", str(config_path)]) == cli.EXIT_OK
+        wavs[label] = (root / "data" / "audio" / "score.wav").read_bytes()
+    assert wavs["No such tempo"] == wavs["Presto"] != wavs["Largo"]
+
+
 def test_build_skips_directory_named_like_a_score(tmp_path, capsys):
     make_corpus(tmp_path / "corpus", n_scores=3, seed=2, two_voice_every=0)
     (tmp_path / "corpus" / "folder.krn").mkdir()
@@ -175,7 +192,7 @@ def test_train_smoke_writes_checkpoints_and_log(tiny_dataset):
 
 def test_load_split_keeps_float32_frames(tiny_dataset):
     # the network rounds its input to float32, so training holds the frames so
-    vocab = cli._read_vocabulary(tiny_dataset["checkpoint_dir"] / cli.VOCAB_FILENAME)
+    vocab = codec.Vocabulary.load(tiny_dataset["checkpoint_dir"] / cli.VOCAB_FILENAME)
     loaded = cli._load_split(tiny_dataset["manifest"], vocab, ("train", "validation"))
     frames = [spec for split in loaded.values() for _, spec, _ in split]
     assert frames and all(spec.dtype == np.float32 and spec.shape[1] == dsp.N_BINS for spec in frames)
@@ -254,6 +271,37 @@ def test_transcribe_silent_wav(tiny_dataset, tmp_path, capsys):
     assert capsys.readouterr().out.strip() != "" or rc == cli.EXIT_OK
 
 
+def test_transcribe_malformed_output_prints_raw_symbols(tiny_dataset, tmp_path, capsys):
+    # a model whose output layer favours the tab symbol at every frame decodes
+    # to one tab: a row with an empty cell, printed raw with exit 3
+    ckpt_dir = tiny_dataset["checkpoint_dir"]
+    vocab = codec.Vocabulary.load(ckpt_dir / cli.VOCAB_FILENAME)
+    config, params, velocity, state = net.load_checkpoint(ckpt_dir / "best.ckpt")
+    params.tensors["out_w"][:] = 0.0
+    params.tensors["out_b"][:] = 0.0
+    params.tensors["out_b"][vocab.index_of(codec.TAB)] = 10.0
+    net.save_checkpoint(tmp_path / "tab.ckpt", config, params, velocity, state["vocab_hash"])
+    shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
+    wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
+    capsys.readouterr()
+    assert cli.main(["transcribe", str(wav), "--checkpoint", str(tmp_path / "tab.ckpt")]) == cli.EXIT_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == "\\t\n"
+    assert "row with empty cells (token position 0)" in captured.err
+
+
+def test_transcribe_with_model_of_other_input_bins_is_model_error(tiny_dataset, tmp_path, capsys):
+    ckpt_dir = tiny_dataset["checkpoint_dir"]
+    vocab = codec.Vocabulary.load(ckpt_dir / cli.VOCAB_FILENAME)
+    config = net.ModelConfig(vocab_size=len(vocab), input_bins=24, hidden_units=8)
+    params = net.init_params(config, 0)
+    net.save_checkpoint(tmp_path / "bins.ckpt", config, params, net.zero_velocity(params), vocab.sha256())
+    shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
+    wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
+    assert cli.main(["transcribe", str(wav), "--checkpoint", str(tmp_path / "bins.ckpt")]) == cli.EXIT_MODEL
+    assert "model error: expected (W, 24) input" in capsys.readouterr().err
+
+
 def test_transcribe_corrupt_checkpoint_distinct_exit(tiny_dataset, tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
@@ -277,9 +325,18 @@ def _edit_header(path, **changes):
 
 @pytest.mark.parametrize(
     "damage",
-    ["missing_tensor", "trailing_bytes", "version_1", "hidden_units_float", "conv_freq_stride", "nan_value"],
+    [
+        "missing_tensor",
+        "trailing_bytes",
+        "version_1",
+        "version_2",
+        "hidden_units_float",
+        "conv_freq_stride",
+        "conv_layers",
+        "nan_value",
+    ],
 )
-def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path, damage):
+def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path, capsys, damage):
     ckpt_dir = tiny_dataset["checkpoint_dir"]
     bad = tmp_path / "bad.ckpt"
     data = (ckpt_dir / "best.ckpt").read_bytes()
@@ -290,6 +347,7 @@ def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path
             "missing_tensor": data[:-4],  # the last velocity's last value is cut off
             "trailing_bytes": data + b"\x00",
             "version_1": data[:4] + struct.pack("<I", 1) + data[8:],
+            "version_2": data[:4] + struct.pack("<I", 2) + data[8:],
             # the first parameter value; a NaN once decoded to an empty score with exit 0
             "nan_value": data[:payload] + struct.pack("<f", float("nan")) + data[payload + 4 :],
         }.get(damage, data)
@@ -297,11 +355,16 @@ def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path
     if damage == "hidden_units_float":
         _edit_header(bad, config={"hidden_units": 8.5})
     if damage == "conv_freq_stride":
-        # a field of version 1 configurations that version 2 has no longer
+        # a field of version 1 configurations that later versions have no longer
         _edit_header(bad, config={"conv_freq_stride": 2.5})
+    if damage == "conv_layers":
+        # the layer counts are constants, not configuration fields
+        _edit_header(bad, config={"conv_layers": 2})
     shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
     wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
     assert cli.main(["transcribe", str(wav), "--checkpoint", str(bad)]) == cli.EXIT_DATA
+    if damage.startswith("version_"):
+        assert f"unsupported checkpoint version {damage[-1]}; retrain" in capsys.readouterr().err
 
 
 def _refuse_clip_loading(monkeypatch):
@@ -424,8 +487,8 @@ def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monke
     for model in (
         {"hidden_units": 8, "no_such_knob": True},
         {"hidden_units": 8.5},
-        {"conv_layers": 0},
-        {"recurrent_layers": 0},
+        {"conv_layers": 2},  # the layer counts are constants, not fields
+        {"recurrent_layers": 2},
         {"frame_doubling": 1},
         {"conv_kernel": 3},  # a field of version 1 configurations
         {"input_bins": 120},  # the spectrogram has 240 bins
@@ -445,7 +508,7 @@ def test_config_with_wrong_types_is_usage_error(tmp_path):
         {"fragment_enabled": "no"},
         {"tempo_jitter": 1},
         {"batch_size": True},
-        {"max_duration_s": True},
+        {"max_duration_s": True},  # not a config key: refused as unknown
         {"train_fraction": True, "validation_fraction": 0, "test_fraction": 0},
     )
     for raw in wrong:
@@ -486,6 +549,7 @@ def _malformed_inputs(root, data, checkpoint, damage):
         (root / "blocker").write_text("")
         config_path = _write_config(root, out_dir="blocker/data")
         return ["build", "--config", str(config_path)], cli.EXIT_DATA
+    # voices is not a config key: refused as unknown
     config_path = _write_config(root, voices=[{"harmonics": 5}])
     return ["build", "--config", str(config_path)], cli.EXIT_USAGE
 

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from polyscore import codec, kern
+from polyscore.errors import DataError
 from conftest import fixture_documents
 
 
@@ -49,6 +51,16 @@ def test_vocabulary_file_round_trip(tmp_path):
     again = codec.Vocabulary.load(path)
     assert again.symbols == vocab.symbols
     assert again.sha256() == vocab.sha256()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe<eps>\n", b"foo\n"], ids=["not_utf8", "no_blank"])
+def test_vocabulary_load_names_a_malformed_file(tmp_path, content):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=re.escape(f"cannot read vocabulary {path}")):
+        codec.Vocabulary.load(path)
+    with pytest.raises(FileNotFoundError):  # an OSError, which names the path itself
+        codec.Vocabulary.load(tmp_path / "missing.txt")
 
 
 def test_interrupted_vocabulary_save_keeps_previous_file(tmp_path, monkeypatch):
@@ -151,6 +163,32 @@ def test_decode_rejects_mismatched_row_widths():
         codec.decode(seq)
     assert info.value.position == len(two)
     assert len(info.value.partial.data_rows()) == 1
+
+
+@pytest.mark.parametrize(
+    "symbols, message, position",
+    [
+        (["=", "4"], "barline must be followed by a newline", 1),
+        (["="], "barline must be followed by a newline", 1),
+        (["4", "C4", "\t"], "sequence ended inside a row", 3),
+        (["4", "\t", "\n"], "row with empty cells", 2),
+        (["4", "\t", "["], "sequence ended after a tie open", 3),
+        (["C4"], "expected a duration symbol, found pitch", 0),
+        (["[", "."], "expected a duration symbol, found dot", 1),
+        (["4", "\t", "[", "4", "C4", "]", "\n"], "note both opens and closes a tie", 2),
+        (["[", "4", ";", "\n"], "tie open on a rest", 0),
+        (["4", "C4"], "truncated row without a final newline", 2),
+        (["4", "C4", "4", "\n"], "unexpected duration symbol inside a row", 2),
+        (["4", "\t", "4", "\n", "4", "\n"], "row has 1 cells, expected 2", 4),
+    ],
+)
+def test_decode_failure_messages_and_positions(symbols, message, position):
+    vocab = codec.Vocabulary(symbols=codec.STRUCTURAL_SYMBOLS + ("4", "C4"))
+    seq = codec.TokenSequence(tokens=tuple(vocab.index_of(s) for s in symbols), vocab=vocab)
+    with pytest.raises(codec.ScoreSyntaxError) as info:
+        codec.decode(seq)
+    assert str(info.value) == f"{message} (token position {position})"
+    assert info.value.position == position
 
 
 def test_segment_words_four_voice_row():

@@ -197,8 +197,6 @@ def test_fft_against_naive_dft():
 
 
 def test_audio_clip_validation():
-    with pytest.raises(dsp.WrongSampleRate):
-        dsp.AudioClip(np.zeros(10), sample_rate=44100)
     with pytest.raises(ValueError):
         dsp.AudioClip(np.array([]))
 

@@ -93,7 +93,7 @@ def test_forward_takes_only_a_list_of_arrays():
     # neither input may be read as W one-row clips or unwrapped
     params = tiny_params()
     x = np.random.default_rng(2).random((6, 24))
-    spec = dsp.Spectrogram(frames=x, hop_seconds=0.01, bin_frequencies=np.arange(24.0))
+    spec = dsp.Spectrogram(frames=x)
     for bad in (x, [spec]):
         with pytest.raises(net.ShapeMismatch):
             net.forward(params, TINY, bad, mode="eval")
@@ -181,7 +181,7 @@ def test_sgd_zero_gradient_is_noop():
 def test_sgd_two_step_closed_form():
     # v1 = g, p1 = p0 - lr*g*(1+mu); v2 = g*(1+mu),
     # p2 = p0 - lr*g*(2 + 2*mu + mu^2)
-    cfg = net.ModelConfig(vocab_size=2, input_bins=4, hidden_units=1, conv_layers=1, recurrent_layers=1, dropout_p=0.0, frame_doubling=False)
+    cfg = net.ModelConfig(vocab_size=2, input_bins=4, hidden_units=1, dropout_p=0.0, frame_doubling=False)
     params = net.init_params(cfg, 0, dtype=np.float64)
     name = "out_b"
     params.tensors[name][:] = 1.0
@@ -307,10 +307,11 @@ def test_checkpoint_corrupt_file(tmp_path):
     truncated.write_bytes(data[:-4])
     with pytest.raises(net.CheckpointError):
         net.load_checkpoint(truncated)
-    # a version 1 file is refused by number, whatever follows its header
-    truncated.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
-    with pytest.raises(net.CheckpointError, match="version 1"):
-        net.load_checkpoint(truncated)
+    # version 1 and 2 files are refused by number, whatever follows their headers
+    for old in (1, 2):
+        truncated.write_bytes(data[:4] + struct.pack("<I", old) + data[8:])
+        with pytest.raises(net.CheckpointError, match=f"version {old}; retrain"):
+            net.load_checkpoint(truncated)
 
 
 @pytest.mark.parametrize("damage", ["missing", "extra", "wrong_shape", "velocity_missing"])
@@ -337,8 +338,6 @@ def test_model_config_validation():
         {"hidden_units": 0},
         {"hidden_units": 8.5},
         {"input_bins": True},
-        {"conv_layers": 0},
-        {"recurrent_layers": 0},
         {"frame_doubling": 1},
     ):
         with pytest.raises(ValueError):
