@@ -170,7 +170,7 @@ def _read_tokens(path, vocab: codec.Vocabulary) -> codec.TokenSequence:
 
 
 def cmd_build(config: RunConfig) -> int:
-    """Corpus -> preprocessed fragments -> synthesized WAVs + token targets."""
+    """Corpus -> parsed scores -> fragments -> synthesized WAVs + token targets."""
     corpus = Path(config.corpus_dir)
     if not corpus.is_dir():
         raise DataError(f"corpus directory {corpus} does not exist")
@@ -182,8 +182,7 @@ def cmd_build(config: RunConfig) -> int:
     failures = 0
     for path in files:
         try:
-            doc = kern.parse_kern(path.read_text(encoding="utf-8"), source=path.name)
-            docs.append((path.name, kern.preprocess(doc)))
+            docs.append((path.name, kern.parse_kern(path.read_text(encoding="utf-8"))))
         except (kern.KernError, UnicodeDecodeError, OSError) as exc:
             failures += 1
             _diag(f"build: skipping {path.name}: {exc}")

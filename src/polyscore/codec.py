@@ -39,16 +39,11 @@ class OutOfVocabulary(DataError):
 
 
 class ScoreSyntaxError(ModelError):
-    """Token sequence does not form a well-formed score.
+    """Token sequence does not form a well-formed score; carries the failing token position."""
 
-    Carries the token position where parsing failed and the partial document
-    of all rows completed before that point.
-    """
-
-    def __init__(self, message: str, position: int, partial: "KernDocument"):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} (token position {position})")
         self.position = position
-        self.partial = partial
 
 
 def duration_symbol(duration: int, dots: int) -> str:
@@ -174,7 +169,7 @@ class TokenSequence:
 
 
 def build_vocabulary(corpus) -> Vocabulary:
-    """Collect the symbol set of a preprocessed corpus in canonical order.
+    """Collect the symbol set of a corpus of parsed documents in canonical order.
 
     Structural symbols come first in a fixed order, then the observed
     duration symbols sorted by (duration, dots), then the observed pitch
@@ -190,12 +185,11 @@ def build_vocabulary(corpus) -> Vocabulary:
         for row in doc.rows:
             if row.kind != "data":
                 continue
-            for cell in row.cells:
-                for ev in cell:
-                    if ev.kind in ("note", "rest"):
-                        durations.add((ev.duration, ev.dots))
-                    if ev.kind == "note":
-                        pitches.add((ev.step, ev.accidental, ev.octave))
+            for ev in row.cells:
+                if ev.kind in ("note", "rest"):
+                    durations.add((ev.duration, ev.dots))
+                if ev.kind == "note":
+                    pitches.add((ev.step, ev.accidental, ev.octave))
     dur_symbols = [duration_symbol(d, k) for d, k in sorted(durations)]
     pitch_symbols = [
         pitch_symbol(s, a, o)
@@ -221,25 +215,21 @@ def _event_symbols(ev: ScoreEvent) -> list[str]:
 
 
 def encode(doc: KernDocument, vocab: Vocabulary) -> TokenSequence:
-    """Serialize a preprocessed document row-major into vocabulary indices.
+    """Serialize a parsed document row-major into vocabulary indices.
 
     Data rows become tab-separated cells terminated by a newline symbol;
     barline rows collapse to a single barline symbol plus newline.
     """
     out: list[int] = []
     for row in doc.rows:
-        if row.kind == "interpretation":
-            raise ValueError("encode expects a preprocessed document")
         if row.kind == "barline":
             out.append(vocab.index_of(BARLINE))
             out.append(vocab.index_of(NEWLINE))
             continue
-        for ci, cell in enumerate(row.cells):
-            if len(cell) != 1:
-                raise ValueError("encode expects chord-free documents")
+        for ci, ev in enumerate(row.cells):
             if ci:
                 out.append(vocab.index_of(TAB))
-            for s in _event_symbols(cell[0]):
+            for s in _event_symbols(ev):
                 out.append(vocab.index_of(s))
         out.append(vocab.index_of(NEWLINE))
     return TokenSequence(tokens=tuple(out), vocab=vocab)
@@ -249,20 +239,12 @@ def decode(seq: TokenSequence) -> KernDocument:
     """Parse a token sequence back into a document; inverse of :func:`encode`.
 
     Raises :class:`ScoreSyntaxError` when the sequence is not a well-formed
-    score, carrying the failing position and the rows completed so far.
+    score, carrying the failing token position.
     """
     vocab = seq.vocab
     tokens = seq.tokens
     rows: list[Row] = []
     spine_count: int | None = None
-
-    def fail(message: str, position: int):
-        n = spine_count or 1
-        partial_rows = tuple(
-            Row(kind=r.kind, cells=("=",) * n) if r.kind == "barline" else r for r in rows
-        )
-        partial = KernDocument(spine_count=n, rows=partial_rows, labels=(None,) * n)
-        raise ScoreSyntaxError(message, position, partial)
 
     i = 0
     n = len(tokens)
@@ -272,18 +254,18 @@ def decode(seq: TokenSequence) -> KernDocument:
         if kind == "barline":
             i += 1
             if i >= n or vocab.kind_of(tokens[i]) != "newline":
-                fail("barline must be followed by a newline", i if i < n else n)
+                raise ScoreSyntaxError("barline must be followed by a newline", i)
             i += 1
-            rows.append(Row(kind="barline", cells=()))
+            rows.append(Row(kind="barline"))
             continue
-        cells: list[tuple[ScoreEvent, ...]] = []
+        cells: list[ScoreEvent] = []
         while True:
             cell_start = i
             if i >= n:
-                fail("sequence ended inside a row", n)
+                raise ScoreSyntaxError("sequence ended inside a row", n)
             kind = vocab.kind_of(tokens[i])
             if kind in ("tab", "newline"):
-                fail("row with empty cells", cell_start)
+                raise ScoreSyntaxError("row with empty cells", cell_start)
             if kind == "dot":
                 ev = CONTINUATION
                 i += 1
@@ -292,10 +274,10 @@ def decode(seq: TokenSequence) -> KernDocument:
                 if tie_open:
                     i += 1
                     if i >= n:
-                        fail("sequence ended after a tie open", n)
+                        raise ScoreSyntaxError("sequence ended after a tie open", n)
                     kind = vocab.kind_of(tokens[i])
                 if kind != "duration":
-                    fail(f"expected a duration symbol, found {kind}", i)
+                    raise ScoreSyntaxError(f"expected a duration symbol, found {kind}", i)
                 duration, dots = vocab.payload_of(tokens[i])
                 i += 1
                 is_note = i < n and vocab.kind_of(tokens[i]) == "pitch"
@@ -306,7 +288,7 @@ def decode(seq: TokenSequence) -> KernDocument:
                     if tie_close:
                         i += 1
                     if tie_open and tie_close:
-                        fail("note both opens and closes a tie", cell_start)
+                        raise ScoreSyntaxError("note both opens and closes a tie", cell_start)
                     fermata = i < n and vocab.kind_of(tokens[i]) == "fermata"
                     if fermata:
                         i += 1
@@ -322,14 +304,14 @@ def decode(seq: TokenSequence) -> KernDocument:
                     )
                 else:
                     if tie_open:
-                        fail("tie open on a rest", cell_start)
+                        raise ScoreSyntaxError("tie open on a rest", cell_start)
                     fermata = i < n and vocab.kind_of(tokens[i]) == "fermata"
                     if fermata:
                         i += 1
                     ev = ScoreEvent(kind="rest", duration=duration, dots=dots, fermata=fermata)
-            cells.append((ev,))
+            cells.append(ev)
             if i >= n:
-                fail("truncated row without a final newline", n)
+                raise ScoreSyntaxError("truncated row without a final newline", n)
             kind = vocab.kind_of(tokens[i])
             if kind == "tab":
                 i += 1
@@ -337,18 +319,14 @@ def decode(seq: TokenSequence) -> KernDocument:
             if kind == "newline":
                 i += 1
                 break
-            fail(f"unexpected {kind} symbol inside a row", i)
+            raise ScoreSyntaxError(f"unexpected {kind} symbol inside a row", i)
         if spine_count is None:
             spine_count = len(cells)
         elif len(cells) != spine_count:
-            fail(f"row has {len(cells)} cells, expected {spine_count}", row_start)
+            raise ScoreSyntaxError(f"row has {len(cells)} cells, expected {spine_count}", row_start)
         rows.append(Row(kind="data", cells=tuple(cells)))
 
-    count = spine_count or 1
-    final_rows = tuple(
-        Row(kind="barline", cells=("=",) * count) if r.kind == "barline" else r for r in rows
-    )
-    return KernDocument(spine_count=count, rows=final_rows, labels=(None,) * count)
+    return KernDocument(spine_count=spine_count or 1, rows=tuple(rows))
 
 
 def segment_words(seq: TokenSequence) -> list[tuple[int, ...]]:

@@ -17,6 +17,7 @@ against a zero-padded FFT.
 """
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -122,9 +123,7 @@ def write_wav(path, samples: np.ndarray) -> None:
         wav.writeframes(pcm.astype("<i2").tobytes())
 
 
-_mapping_cache: dict = {}
-
-
+@functools.cache
 def _log_mapping() -> tuple[int, int, np.ndarray]:
     """Triangular aggregation weights from FFT bins onto the log grid.
 
@@ -132,8 +131,6 @@ def _log_mapping() -> tuple[int, int, np.ndarray]:
     geometric neighbours; weights are normalized per bin so neighbouring bins
     with different numbers of FFT samples stay comparable.
     """
-    if "weights" in _mapping_cache:
-        return _mapping_cache["weights"]
     centers = bin_frequencies()
     ratio = 2.0 ** (1.0 / BINS_PER_OCTAVE)
     lows = np.concatenate(([centers[0] / ratio], centers[:-1]))
@@ -146,10 +143,10 @@ def _log_mapping() -> tuple[int, int, np.ndarray]:
     down = (highs[:, None] - band[None, :]) / (highs[:, None] - centers[:, None])
     weights = np.clip(np.minimum(up, down), 0.0, None)
     weights /= weights.sum(axis=1, keepdims=True)
-    _mapping_cache["weights"] = (k_lo, k_hi, weights.T.copy())
-    return _mapping_cache["weights"]
+    return k_lo, k_hi, weights.T.copy()
 
 
+@functools.cache
 def _octave_blocks() -> list[tuple[slice, slice, np.ndarray]]:
     """The aggregation weights cut into one dense block per octave of log bins.
 
@@ -159,18 +156,17 @@ def _octave_blocks() -> list[tuple[slice, slice, np.ndarray]]:
     Every weight outside the blocks is zero, so ``band @ weights`` equals the
     blocks' products side by side at about a fifth of the multiply-adds.
     """
-    if "blocks" not in _mapping_cache:
-        _, _, weights = _log_mapping()
-        blocks = []
-        for first in range(0, N_BINS, BINS_PER_OCTAVE):
-            cols = slice(first, first + BINS_PER_OCTAVE)
-            used = np.flatnonzero(weights[:, cols].any(axis=1))
-            rows = slice(int(used[0]), int(used[-1]) + 1)
-            blocks.append((rows, cols, np.ascontiguousarray(weights[rows, cols])))
-        _mapping_cache["blocks"] = blocks
-    return _mapping_cache["blocks"]
+    _, _, weights = _log_mapping()
+    blocks = []
+    for first in range(0, N_BINS, BINS_PER_OCTAVE):
+        cols = slice(first, first + BINS_PER_OCTAVE)
+        used = np.flatnonzero(weights[:, cols].any(axis=1))
+        rows = slice(int(used[0]), int(used[-1]) + 1)
+        blocks.append((rows, cols, np.ascontiguousarray(weights[rows, cols])))
+    return blocks
 
 
+@functools.cache
 def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
     """Pre-chirp and chirp spectrum of the band transform (Bluestein's algorithm).
 
@@ -184,17 +180,15 @@ def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
     _CHIRP_SIZE. The leading factor has unit modulus and drops out of the
     magnitude. Phases are reduced modulo 2N in integers before ``exp``.
     """
-    if "chirps" not in _mapping_cache:
-        k_lo, k_hi, _ = _log_mapping()
-        n = np.arange(WINDOW_SIZE)
-        pre = np.hamming(WINDOW_SIZE) * np.exp(
-            -1j * np.pi * ((2 * k_lo * n + n * n) % (2 * FFT_SIZE)) / FFT_SIZE
-        )
-        d = np.arange(1 - WINDOW_SIZE, k_hi - k_lo)
-        chirp = np.zeros(_CHIRP_SIZE, dtype=np.complex128)
-        chirp[d % _CHIRP_SIZE] = np.exp(1j * np.pi * ((d * d) % (2 * FFT_SIZE)) / FFT_SIZE)
-        _mapping_cache["chirps"] = (pre, np.fft.fft(chirp))
-    return _mapping_cache["chirps"]
+    k_lo, k_hi, _ = _log_mapping()
+    n = np.arange(WINDOW_SIZE)
+    pre = np.hamming(WINDOW_SIZE) * np.exp(
+        -1j * np.pi * ((2 * k_lo * n + n * n) % (2 * FFT_SIZE)) / FFT_SIZE
+    )
+    d = np.arange(1 - WINDOW_SIZE, k_hi - k_lo)
+    chirp = np.zeros(_CHIRP_SIZE, dtype=np.complex128)
+    chirp[d % _CHIRP_SIZE] = np.exp(1j * np.pi * ((d * d) % (2 * FFT_SIZE)) / FFT_SIZE)
+    return pre, np.fft.fft(chirp)
 
 
 def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Parsing, preprocessing, fragmentation and tempo annotation of **kern scores.
+"""Parsing, fragmentation and tempo annotation of **kern scores.
 
 Supports the restricted **kern subset used throughout this package: up to four
 voices, canonical power-of-two durations with at most one dot, single sharps and
-flats, octaves 2-7, ties and fermatas. Spine splits, chords, grace notes and
-ornament marks are accepted by the parser and removed by :func:`preprocess`.
+flats, octaves 2-7, ties and fermatas. Interpretation records, spine splits,
+chords, grace notes and ornament marks are accepted by :func:`parse_kern` and
+reduced away as it reads, so every document holds one event per voice per row.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ _TOKEN_RE = re.compile(
 
 
 class KernError(DataError):
-    """Base error for kern parsing and preprocessing, tagged with a location."""
+    """Base error for kern parsing and fragmentation, tagged with a location."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -105,14 +106,13 @@ class UnknownTempoLabel(KernError):
 
 @dataclass(frozen=True)
 class ScoreEvent:
-    """One cell-level event: a note, rest, continuation or barline.
+    """One voice's event in a data row: a note, rest or continuation.
 
-    ``dots`` and ``accidental`` may transiently hold values outside the
-    supported subset (2 dots, +-2 semitones) right after parsing; those events
-    are rejected by :func:`preprocess`.
+    Events that :func:`parse_kern` stores always lie inside the supported
+    subset (at most one dot, at most one sharp or flat).
     """
 
-    kind: str  # "note" | "rest" | "barline" | "continuation"
+    kind: str  # "note" | "rest" | "continuation"
     duration: int | None = None
     dots: int = 0
     step: str | None = None
@@ -120,7 +120,6 @@ class ScoreEvent:
     octave: int | None = None
     tie: str = "none"  # "none" | "open" | "close"
     fermata: bool = False
-    grace: bool = False
 
     @property
     def midi(self) -> int:
@@ -128,9 +127,6 @@ class ScoreEvent:
         if self.kind != "note":
             raise ValueError("midi number is only defined for notes")
         return (self.octave + 1) * 12 + STEP_SEMITONES[self.step] + self.accidental
-
-    def is_supported(self) -> bool:
-        return self.dots <= 1 and abs(self.accidental) <= 1 and not self.grace
 
 
 CONTINUATION = ScoreEvent(kind="continuation")
@@ -140,26 +136,19 @@ CONTINUATION = ScoreEvent(kind="continuation")
 class Row:
     """One time-ordered line of the score.
 
-    ``cells`` holds raw token strings for interpretation rows, and one tuple of
-    events per active spine for data rows (more than one event = chord).
-    Barline rows store a normalized ``"="`` per spine.
+    A data row holds one event per spine in ``cells`` and has at least one
+    event that is not a continuation; a barline row holds no cells.
     """
 
-    kind: str  # "interpretation" | "data" | "barline"
-    cells: tuple = ()
-    line: int | None = field(default=None, compare=False)
+    kind: str  # "data" | "barline"
+    cells: tuple[ScoreEvent, ...] = ()
 
 
 @dataclass(frozen=True)
 class KernDocument:
     spine_count: int
     rows: tuple[Row, ...]
-    labels: tuple = field(default=(), compare=False)
     tempo_text: str | None = field(default=None, compare=False)
-    source: str | None = field(default=None, compare=False)
-
-    def data_rows(self) -> list[Row]:
-        return [r for r in self.rows if r.kind == "data"]
 
     def barline_count(self) -> int:
         return sum(1 for r in self.rows if r.kind == "barline")
@@ -176,7 +165,6 @@ class TempoMark:
 
 
 def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
-    grace = "q" in token or "Q" in token
     stripped = "".join(ch for ch in token if ch not in _DECORATIONS and ch not in "qQ")
     if "_" in stripped:
         raise UnknownToken(f"tie continuation {token!r} is not supported", line, column)
@@ -202,7 +190,7 @@ def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     if body == "r":
         if tie_open or tie_close or m.group("acc"):
             raise UnknownToken(f"rest with tie or accidental in {token!r}", line, column)
-        return ScoreEvent(kind="rest", duration=duration, dots=dots, fermata=fermata, grace=grace)
+        return ScoreEvent(kind="rest", duration=duration, dots=dots, fermata=fermata)
 
     if len(set(body)) != 1:
         raise UnknownToken(f"mixed pitch letters in {token!r}", line, column)
@@ -225,20 +213,25 @@ def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
         octave=octave,
         tie=tie,
         fermata=fermata,
-        grace=grace,
     )
 
 
-def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, ...]:
+def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[str, ...]]:
+    """Parse one cell into the event it reduces to and the tie marks of all its notes.
+
+    A chord reduces to its lowest note, and a grace note to a continuation.
+    """
     if token == ".":
-        return (CONTINUATION,)
-    parts = token.split(" ")
-    events = tuple(_parse_event(p, line, column) for p in parts if p)
+        return CONTINUATION, ()
+    parts = [p for p in token.split(" ") if p]
+    events = [_parse_event(p, line, column) for p in parts]
     if not events:
         raise UnknownToken("empty cell", line, column)
     if len(events) > 1 and any(e.kind != "note" for e in events):
         raise UnknownToken(f"chord {token!r} may only contain notes", line, column)
-    return events
+    lowest = min(range(len(events)), key=lambda i: events[i].midi) if len(events) > 1 else 0
+    grace = "q" in parts[lowest] or "Q" in parts[lowest]
+    return (CONTINUATION if grace else events[lowest]), tuple(e.tie for e in events)
 
 
 def _apply_manipulators(groups: list[int], cells: list[str], line: int) -> list[int]:
@@ -265,22 +258,25 @@ def _apply_manipulators(groups: list[int], cells: list[str], line: int) -> list[
     return new_groups
 
 
-def parse_kern(text: str, source: str | None = None) -> KernDocument:
-    """Parse a **kern document into rows of classified events.
+def parse_kern(text: str) -> KernDocument:
+    """Parse a **kern document into its encodable form, one row at a time.
+
+    Every cell is parsed and every tie mark counted, in all subspines and
+    chord notes, so the first defect in file order is the one raised.
 
     Parameters
     ----------
     text : str
         Tab-separated kern text; LF and CRLF line endings are both accepted.
-    source : str, optional
-        Origin label used in error messages and kept as document metadata.
 
     Returns
     -------
     KernDocument
-        Rows classified as interpretation, data or barline, in source order.
-        Spine splits, chords and grace notes are preserved for
-        :func:`preprocess` to resolve.
+        Data and barline rows in source order. Interpretation records are
+        dropped after their spine splits and merges are applied. Each data
+        row keeps one event per base spine: the leftmost subspine of a split,
+        the lowest note of a chord, a continuation for a grace note. Rows
+        left with only continuations are dropped.
 
     Raises
     ------
@@ -290,10 +286,13 @@ def parse_kern(text: str, source: str | None = None) -> KernDocument:
         A cell is outside the supported subset.
     InvalidTie
         A tie close appears in a spine with no open tie.
+    TooManyVoices
+        The header row has more than four spines.
+    UnsupportedNotation
+        A kept event has a double dot, double sharp or double flat.
     """
     lines = text.replace("\r\n", "\n").split("\n")
     spine_count = 0
-    labels: list = []
     groups: list[int] = []
     rows: list[Row] = []
     tempo_text: str | None = None
@@ -316,7 +315,8 @@ def parse_kern(text: str, source: str | None = None) -> KernDocument:
             if any(c != "**kern" for c in cells):
                 raise UnknownToken("only **kern spines are supported", lineno)
             spine_count = len(cells)
-            labels = [None] * spine_count
+            if spine_count > 4:
+                raise TooManyVoices(f"{spine_count} spines exceed the 4-voice limit")
             groups = [1] * spine_count
             open_ties = [0] * spine_count
             started = True
@@ -334,11 +334,6 @@ def parse_kern(text: str, source: str | None = None) -> KernDocument:
                 raise UnknownToken("spine addition/exchange is not supported", lineno)
             if any(c in ("*^", "*v") for c in cells):
                 groups = _apply_manipulators(groups, cells, lineno)
-            else:
-                for idx, c in enumerate(cells):
-                    if c.startswith("*I") and not c.startswith('*I"') and idx < spine_count:
-                        labels[idx] = c[2:]
-            rows.append(Row(kind="interpretation", cells=tuple(cells), line=lineno))
             continue
 
         if any(c.startswith("=") for c in cells):
@@ -348,104 +343,39 @@ def parse_kern(text: str, source: str | None = None) -> KernDocument:
                 raise MalformedSpine(
                     f"barline row has {len(cells)} cells, {active} spines active", lineno
                 )
-            rows.append(Row(kind="barline", cells=("=",) * active, line=lineno))
+            rows.append(Row(kind="barline"))
             continue
 
         if len(cells) != active:
             raise MalformedSpine(
                 f"data row has {len(cells)} cells, {active} spines active", lineno
             )
-        parsed = []
+        kept = []
         pos = 0
         for base, count in enumerate(groups):
             for offset, c in enumerate(cells[pos : pos + count]):
                 col = pos + offset + 1
-                events = _parse_cell(c, lineno, col)
-                for ev in events:
-                    if ev.tie == "close":
+                ev, ties = _parse_cell(c, lineno, col)
+                for tie in ties:
+                    if tie == "close":
                         if open_ties[base] == 0:
                             raise InvalidTie("tie close without a matching open", lineno, col)
                         open_ties[base] -= 1
-                    elif ev.tie == "open":
+                    elif tie == "open":
                         open_ties[base] += 1
-                parsed.append(events)
+                if offset == 0:  # the leftmost subspine survives a split
+                    if ev.dots > 1 or abs(ev.accidental) > 1:
+                        raise UnsupportedNotation(
+                            "double dots/sharps/flats are outside the supported subset", lineno
+                        )
+                    kept.append(ev)
             pos += count
-        rows.append(Row(kind="data", cells=tuple(parsed), line=lineno))
+        if any(ev.kind != "continuation" for ev in kept):
+            rows.append(Row(kind="data", cells=tuple(kept)))
 
     if not started:
         raise MalformedSpine("document has no **kern header row")
-    return KernDocument(
-        spine_count=spine_count,
-        rows=tuple(rows),
-        labels=tuple(labels),
-        tempo_text=tempo_text,
-        source=source,
-    )
-
-
-def _walk_groups(doc: KernDocument):
-    """Yield (row, groups-before-row); groups track subspines per base spine."""
-    groups = [1] * doc.spine_count
-    for row in doc.rows:
-        yield row, list(groups)
-        if row.kind == "interpretation" and any(c in ("*^", "*v") for c in row.cells):
-            groups = _apply_manipulators(groups, list(row.cells), row.line or 0)
-
-
-def preprocess(doc: KernDocument) -> KernDocument:
-    """Reduce a parsed document to the encodable subset.
-
-    Removes interpretation rows, resolves spine splits (the leftmost subspine
-    of each split is kept), reduces chords to their lowest note, and turns
-    grace notes into continuations. Idempotent.
-
-    Raises
-    ------
-    TooManyVoices
-        More than four base spines.
-    UnsupportedNotation
-        Double dot, double sharp or double flat encountered.
-    """
-    if doc.spine_count > 4:
-        raise TooManyVoices(f"{doc.spine_count} spines exceed the 4-voice limit")
-    out_rows: list[Row] = []
-    for row, groups in _walk_groups(doc):
-        if row.kind == "interpretation":
-            continue
-        if row.kind == "barline":
-            out_rows.append(Row(kind="barline", cells=("=",) * doc.spine_count, line=row.line))
-            continue
-        cells: list[tuple[ScoreEvent, ...]] = []
-        pos = 0
-        for count in groups:
-            first = row.cells[pos]  # leftmost subspine survives the split
-            pos += count
-            events = first
-            if len(events) > 1:
-                events = (min(events, key=lambda e: e.midi),)
-            ev = events[0]
-            if not ev.is_supported():
-                if ev.grace:
-                    ev = CONTINUATION
-                else:
-                    raise UnsupportedNotation(
-                        "double dots/sharps/flats are outside the supported subset", row.line
-                    )
-            cells.append((ev,))
-        if all(c[0].kind == "continuation" for c in cells):
-            continue
-        out_rows.append(Row(kind="data", cells=tuple(cells), line=row.line))
-    return KernDocument(
-        spine_count=doc.spine_count,
-        rows=tuple(out_rows),
-        labels=doc.labels,
-        tempo_text=doc.tempo_text,
-        source=doc.source,
-    )
-
-
-def _is_preprocessed(doc: KernDocument) -> bool:
-    return all(r.kind in ("data", "barline") for r in doc.rows)
+    return KernDocument(spine_count=spine_count, rows=tuple(rows), tempo_text=tempo_text)
 
 
 def _measure_slices(rows: tuple[Row, ...]) -> list[list[Row]]:
@@ -475,8 +405,7 @@ def _sever_boundary_ties(rows: list[Row]) -> list[Row]:
     for ri, row in enumerate(rows):
         if row.kind != "data":
             continue
-        for si, cell in enumerate(row.cells):
-            ev = cell[0]
+        for si, ev in enumerate(row.cells):
             if ev.tie == "open":
                 per_spine_open.setdefault(si, []).append((ri, si))
             elif ev.tie == "close":
@@ -495,10 +424,10 @@ def _sever_boundary_ties(rows: list[Row]) -> list[Row]:
             out.append(row)
             continue
         cells = tuple(
-            (dataclasses.replace(cell[0], tie="none"),) if (ri, si) in drops else cell
-            for si, cell in enumerate(row.cells)
+            dataclasses.replace(ev, tie="none") if (ri, si) in drops else ev
+            for si, ev in enumerate(row.cells)
         )
-        out.append(Row(kind="data", cells=cells, line=row.line))
+        out.append(Row(kind="data", cells=cells))
     return out
 
 
@@ -509,7 +438,7 @@ def fragment(
     max_measures: int = 6,
     allow_overlap: bool = False,
 ) -> list[KernDocument]:
-    """Cut a preprocessed document into fragments of whole measures.
+    """Cut a document into fragments of whole measures.
 
     Fragment sizes are drawn uniformly from [min_measures, max_measures] with a
     seeded generator. Without overlap the fragments partition the measures in
@@ -518,8 +447,6 @@ def fragment(
     consecutive fragments may share measures. Ties crossing a fragment boundary
     are severed.
     """
-    if not _is_preprocessed(doc):
-        raise ValueError("fragment expects a preprocessed document")
     measures = _measure_slices(doc.rows)
     if doc.barline_count() == 0:
         raise NoBarlines("document has no barlines to fragment on")
@@ -547,13 +474,7 @@ def fragment(
             rows.extend(measure)
         rows = _sever_boundary_ties(rows)
         out.append(
-            KernDocument(
-                spine_count=doc.spine_count,
-                rows=tuple(rows),
-                labels=doc.labels,
-                tempo_text=doc.tempo_text,
-                source=doc.source,
-            )
+            KernDocument(spine_count=doc.spine_count, rows=tuple(rows), tempo_text=doc.tempo_text)
         )
     return out
 
@@ -583,7 +504,7 @@ def event_to_token(ev: ScoreEvent) -> str:
     if ev.kind != "note":
         raise ValueError(f"cannot serialize event kind {ev.kind!r}")
     letter = ev.step.lower() * (ev.octave - 3) if ev.octave >= 4 else ev.step.upper() * (4 - ev.octave)
-    acc = {0: "", 1: "#", 2: "##", -1: "-", -2: "--"}[ev.accidental]
+    acc = {0: "", 1: "#", -1: "-"}[ev.accidental]
     return (
         ("[" if ev.tie == "open" else "")
         + f"{ev.duration}{'.' * ev.dots}"
@@ -600,15 +521,10 @@ def serialize(doc: KernDocument) -> str:
     if doc.tempo_text:
         lines.append(f"!!!OMD: {doc.tempo_text}")
     lines.append("\t".join(["**kern"] * doc.spine_count))
-    groups = [1] * doc.spine_count
     for row in doc.rows:
-        if row.kind == "interpretation":
-            lines.append("\t".join(row.cells))
-            if any(c in ("*^", "*v") for c in row.cells):
-                groups = _apply_manipulators(groups, list(row.cells), row.line or 0)
-        elif row.kind == "barline":
-            lines.append("\t".join(row.cells))
+        if row.kind == "barline":
+            lines.append("\t".join(["="] * doc.spine_count))
         else:
-            lines.append("\t".join(" ".join(event_to_token(e) for e in cell) for cell in row.cells))
-    lines.append("\t".join(["*-"] * sum(groups)))
+            lines.append("\t".join(event_to_token(e) for e in row.cells))
+    lines.append("\t".join(["*-"] * doc.spine_count))
     return "\n".join(lines) + "\n"

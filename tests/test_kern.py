@@ -2,20 +2,30 @@ import numpy as np
 import pytest
 
 from polyscore import kern
-from conftest import FIXTURE_SOURCES, fixture_documents
+from conftest import FIXTURE_SOURCES
+
+
+def _data_rows(doc):
+    return [r for r in doc.rows if r.kind == "data"]
 
 
 def test_parse_minimal_two_spine():
     doc = kern.parse_kern("**kern\t**kern\n4c\t4e\n*-\t*-\n")
     assert doc.spine_count == 2
-    assert len(doc.data_rows()) == 1
-    ev = doc.data_rows()[0].cells[0][0]
+    assert len(doc.rows) == 1
+    ev = doc.rows[0].cells[0]
     assert ev.kind == "note" and ev.duration == 4 and ev.step == "C" and ev.octave == 4
 
 
 def test_parse_classifies_rows():
     doc = kern.parse_kern("**kern\n*M4/4\n4c\n=\n*-\n")
-    assert [r.kind for r in doc.rows] == ["interpretation", "data", "barline"]
+    assert [r.kind for r in doc.rows] == ["data", "barline"]
+    assert doc.rows[1].cells == ()
+    # interpretation records leave no trace in the document
+    plain = "**kern\t**kern\n4c\t4e\n=\t=\n4d\t4f\n*-\t*-\n"
+    records = '*I"Violin\t*Icello\n*k[f#]\t*k[f#]\n*M4/4\t*M4/4\n'
+    with_records = plain.replace("4c\t4e", records + "4c\t4e").replace("4d\t4f", "*M3/4\t*M3/4\n4d\t4f")
+    assert kern.parse_kern(with_records) == kern.parse_kern(plain)
 
 
 def test_parse_cell_count_mismatch():
@@ -26,7 +36,7 @@ def test_parse_cell_count_mismatch():
 
 def test_parse_crlf_and_comments():
     doc = kern.parse_kern("!! a comment\r\n**kern\r\n! local\r\n4c\r\n*-\r\n")
-    assert len(doc.data_rows()) == 1
+    assert len(doc.rows) == 1
 
 
 def test_parse_collects_tempo_text():
@@ -46,12 +56,9 @@ def test_parse_spine_split_and_merge():
         "*-\t*-\n"
     )
     doc = kern.parse_kern(text)
-    widths = [len(r.cells) for r in doc.rows if r.kind == "data"]
-    assert widths == [2, 3, 3, 2]
-    pre = kern.preprocess(doc)
-    assert all(len(r.cells) == 2 for r in pre.rows)
+    assert all(len(r.cells) == 2 for r in doc.rows)
     # the leftmost subspine of the split survives
-    kept = [r.cells[0][0].duration for r in pre.data_rows()]
+    kept = [r.cells[0].duration for r in doc.rows]
     assert kept == [4, 4, 8, 4]
 
 
@@ -63,7 +70,7 @@ def test_parse_rejects_unknown_tokens():
 
 def test_parse_strips_ornaments_and_beams():
     doc = kern.parse_kern("**kern\n8cLt'\n8dJ\n*-\n")
-    events = [r.cells[0][0] for r in doc.data_rows()]
+    events = [r.cells[0] for r in doc.rows]
     assert [e.step for e in events] == ["C", "D"]
 
 
@@ -75,8 +82,11 @@ def test_parse_invalid_tie_reports_position():
 
 def test_parse_tie_open_close_across_rows_ok():
     doc = kern.parse_kern("**kern\n[4c\n4c]\n*-\n")
-    ties = [r.cells[0][0].tie for r in doc.data_rows()]
+    ties = [r.cells[0].tie for r in doc.rows]
     assert ties == ["open", "close"]
+    # a tie opened on a grace note is counted, though the grace note is not kept
+    doc = kern.parse_kern("**kern\n[8cq\n8c]\n*-\n")
+    assert [r.cells[0].duration for r in doc.rows] == [8]
 
 
 def test_parse_barline_in_every_spine():
@@ -87,47 +97,46 @@ def test_parse_barline_in_every_spine():
 def test_preprocess_chord_keeps_lowest_by_midi():
     doc = kern.parse_kern("**kern\n4c 4e 4g\n*-\n")
     # independent oracle: lowest MIDI number among the chord notes
-    chord = doc.data_rows()[0].cells[0]
-    lowest = min(chord, key=lambda e: (e.octave + 1) * 12 + kern.STEP_SEMITONES[e.step] + e.accidental)
-    pre = kern.preprocess(doc)
-    assert pre.data_rows()[0].cells[0] == (lowest,)
+    notes = [kern.parse_kern(f"**kern\n{t}\n*-\n").rows[0].cells[0] for t in ("4c", "4e", "4g")]
+    lowest = min(notes, key=lambda e: (e.octave + 1) * 12 + kern.STEP_SEMITONES[e.step] + e.accidental)
+    assert doc.rows[0].cells == (lowest,)
     assert lowest.step == "C"
 
 
 def test_preprocess_chord_voicing_order_irrelevant():
     doc = kern.parse_kern("**kern\n4g 4c 4e\n*-\n")
-    pre = kern.preprocess(doc)
-    assert pre.data_rows()[0].cells[0][0].step == "C"
-
-
-def test_preprocess_idempotent(fixtures):
-    for name, doc in fixtures.items():
-        assert kern.preprocess(doc) == doc, name
+    assert doc.rows[0].cells[0].step == "C"
 
 
 def test_preprocess_too_many_voices():
-    text = "\t".join(["**kern"] * 5) + "\n" + "\t".join(["4c"] * 5) + "\n" + "\t".join(["*-"] * 5) + "\n"
-    with pytest.raises(kern.TooManyVoices):
-        kern.preprocess(kern.parse_kern(text))
+    for data in ("4c", "4h"):  # raised at the header, before any data row is read
+        text = "\t".join(["**kern"] * 5) + "\n" + "\t".join([data] * 5) + "\n" + "\t".join(["*-"] * 5) + "\n"
+        with pytest.raises(kern.TooManyVoices):
+            kern.parse_kern(text)
 
 
 def test_preprocess_rejects_double_dot_and_double_accidentals():
-    for cell in ("4..c", "4c##", "4c--"):
-        doc = kern.parse_kern(f"**kern\n{cell}\n*-\n")
-        with pytest.raises(kern.UnsupportedNotation):
-            kern.preprocess(doc)
+    for cell in ("4..c", "4c##", "4c--", "4..c 4e", "[4..c 4cc]"):
+        with pytest.raises(kern.UnsupportedNotation) as info:
+            kern.parse_kern(f"**kern\n4c\n{cell}\n*-\n")
+        assert info.value.line == 3, cell
+    # only the kept event is checked: a later subspine or a higher chord note passes
+    for text in ("**kern\n*^\n4c\t4..d\n*v\t*v\n*-\n", "**kern\n4c 4..d\n*-\n"):
+        assert kern.parse_kern(text).rows[0].cells[0].step == "C"
+    # the first defect in file order is the one reported
+    with pytest.raises(kern.UnsupportedNotation):
+        kern.parse_kern("**kern\t**kern\n4..c\t4d\n4e\n*-\t*-\n")
 
 
 def test_preprocess_drops_grace_notes():
     doc = kern.parse_kern("**kern\t**kern\n2c\t2e\n8dq\t.\n2e\t2g\n*-\t*-\n")
-    pre = kern.preprocess(doc)
     # the grace row became all-continuation and was dropped
-    assert len(pre.data_rows()) == 2
+    assert len(doc.rows) == 2
 
 
 def test_fragment_partition_validity():
     text = "**kern\n" + "4c\n4d\n=\n" * 12 + "*-\n"
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     frags = kern.fragment(doc, rng_seed=3, min_measures=3, max_measures=6)
     sizes = [f.barline_count() for f in frags]
     assert sum(sizes) == 12
@@ -138,7 +147,7 @@ def test_fragment_partition_validity():
 
 
 def test_fragment_short_document_single_fragment():
-    doc = kern.preprocess(kern.parse_kern("**kern\n4c\n=\n4d\n=\n*-\n"))
+    doc = kern.parse_kern("**kern\n4c\n=\n4d\n=\n*-\n")
     frags = kern.fragment(doc, rng_seed=0)
     assert len(frags) == 1
     assert frags[0].barline_count() == 2
@@ -146,7 +155,7 @@ def test_fragment_short_document_single_fragment():
 
 def test_fragment_deterministic():
     text = "**kern\n" + "4c\n=\n" * 10 + "*-\n"
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     a = kern.fragment(doc, rng_seed=17)
     b = kern.fragment(doc, rng_seed=17)
     assert a == b
@@ -154,11 +163,11 @@ def test_fragment_deterministic():
 
 def test_fragment_no_overlap_disjoint_and_ordered():
     text = "**kern\n" + "".join(f"4{p}\n=\n" for p in "cdefgabc" * 3) + "*-\n"
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     frags = kern.fragment(doc, rng_seed=2, min_measures=3, max_measures=6)
     seen = []
     for f in frags:
-        first = f.data_rows()[0].cells[0][0]
+        first = _data_rows(f)[0].cells[0]
         seen.append(first)
     total = sum(f.barline_count() for f in frags)
     assert total == doc.barline_count()
@@ -166,26 +175,26 @@ def test_fragment_no_overlap_disjoint_and_ordered():
 
 def test_fragment_overlap_covers_and_shares():
     text = "**kern\n" + "4c\n4d\n=\n" * 20 + "*-\n"
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     for seed in range(8):
         frags = kern.fragment(doc, rng_seed=seed, min_measures=3, max_measures=6, allow_overlap=True)
         assert sum(f.barline_count() for f in frags) >= 20  # shared measures count twice
 
 
 def test_fragment_requires_barlines():
-    doc = kern.preprocess(kern.parse_kern("**kern\n4c\n4d\n*-\n"))
+    doc = kern.parse_kern("**kern\n4c\n4d\n*-\n")
     with pytest.raises(kern.NoBarlines):
         kern.fragment(doc, rng_seed=0)
 
 
 def test_fragment_severs_boundary_ties():
     text = "**kern\n2c\n[2d\n=\n2d]\n2e\n=\n2f\n2g\n=\n2a\n2b\n=\n*-\n"
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     frags = kern.fragment(doc, rng_seed=0, min_measures=1, max_measures=1)
     assert len(frags) == 4
     for f in frags:
-        for row in f.data_rows():
-            assert row.cells[0][0].tie == "none"
+        for row in _data_rows(f):
+            assert row.cells[0].tie == "none"
     # reserialized fragments stay parseable (no dangling tie errors)
     for f in frags:
         kern.parse_kern(kern.serialize(f))
@@ -193,9 +202,9 @@ def test_fragment_severs_boundary_ties():
 
 def test_fragment_keeps_internal_ties():
     text = "**kern\n[2c\n2c]\n=\n2d\n2e\n=\n*-\n"
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     frags = kern.fragment(doc, rng_seed=0, min_measures=2, max_measures=2)
-    ties = [r.cells[0][0].tie for r in frags[0].data_rows()]
+    ties = [r.cells[0].tie for r in _data_rows(frags[0])]
     assert ties[:2] == ["open", "close"]
 
 
@@ -223,15 +232,17 @@ def test_tempo_unknown_label():
 
 def test_serialize_parse_round_trip(fixtures):
     for name, doc in fixtures.items():
-        again = kern.parse_kern(kern.serialize(doc), source=name)
+        again = kern.parse_kern(kern.serialize(doc))
         assert again == doc, name
 
 
 def test_serialize_parse_round_trip_raw_sources():
-    # parse . serialize . parse == parse, including unpreprocessed documents
-    for name, text in FIXTURE_SOURCES.items():
-        doc = kern.parse_kern(text, source=name)
-        again = kern.parse_kern(kern.serialize(doc), source=name)
+    # parse . serialize . parse == parse, also for sources the parser reduces
+    sources = dict(FIXTURE_SOURCES)
+    sources["reduced"] = "**kern\t**kern\n*Icello\t*\n2c 2e\t4g\n8dq\t4a\n*-\t*-\n"
+    for name, text in sources.items():
+        doc = kern.parse_kern(text)
+        again = kern.parse_kern(kern.serialize(doc))
         assert again == doc, name
 
 
@@ -242,7 +253,7 @@ def test_serialize_round_trip_with_split():
 
 
 def test_event_midi_reference_values():
-    a4 = kern.parse_kern("**kern\n4a\n*-\n").data_rows()[0].cells[0][0]
+    a4 = kern.parse_kern("**kern\n4a\n*-\n").rows[0].cells[0]
     assert a4.midi == 69
-    c2 = kern.parse_kern("**kern\n4CC\n*-\n").data_rows()[0].cells[0][0]
+    c2 = kern.parse_kern("**kern\n4CC\n*-\n").rows[0].cells[0]
     assert c2.midi == 36

@@ -68,7 +68,7 @@ def test_random_pairs_up_to_length_eight():
 
 
 def _tokens_for(text):
-    doc = kern.preprocess(kern.parse_kern(text))
+    doc = kern.parse_kern(text)
     vocab = codec.build_vocabulary([doc])
     return codec.encode(doc, vocab), vocab
 
@@ -81,7 +81,7 @@ def test_wer_and_cer_zero_on_identity():
 
 def test_wer_single_word_substitution():
     ref, vocab = _tokens_for("**kern\n4c\n4d\n4e\n*-\n")
-    hyp_doc = kern.preprocess(kern.parse_kern("**kern\n4c\n4c\n4e\n*-\n"))
+    hyp_doc = kern.parse_kern("**kern\n4c\n4c\n4e\n*-\n")
     hyp = codec.encode(hyp_doc, vocab)
     stats = metrics.wer(ref, hyp)
     assert stats.substitutions == 1 and stats.reference_length == 3
@@ -121,8 +121,8 @@ def test_deleting_k_tokens_gives_exact_cer():
 
 
 def test_wer_can_exceed_one():
-    ref_doc = kern.preprocess(kern.parse_kern("**kern\n4c\n*-\n"))
-    hyp_doc = kern.preprocess(kern.parse_kern("**kern\n4d\n4e\n4f\n*-\n"))
+    ref_doc = kern.parse_kern("**kern\n4c\n*-\n")
+    hyp_doc = kern.parse_kern("**kern\n4d\n4e\n4f\n*-\n")
     vocab = codec.build_vocabulary([ref_doc, hyp_doc])
     ref = codec.encode(ref_doc, vocab)
     hyp = codec.encode(hyp_doc, vocab)

@@ -4,22 +4,18 @@ import pytest
 from polyscore import dsp, kern, synth
 
 
-def _doc(text):
-    return kern.preprocess(kern.parse_kern(text))
-
-
 def _tempo(bpm_label, value=None):
     return kern.TempoMark(label=bpm_label, quarter_bpm=value or kern.TEMPO_MAP[bpm_label])
 
 
 def test_quarter_note_duration_at_60_bpm():
-    doc = _doc("**kern\n4a\n*-\n")
+    doc = kern.parse_kern("**kern\n4a\n*-\n")
     audio = synth.render(doc, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec()])
     assert audio.size == 22050
 
 
 def test_whole_note_a4_argmax_at_a4_bin():
-    doc = _doc("**kern\n1a\n*-\n")
+    doc = kern.parse_kern("**kern\n1a\n*-\n")
     audio = synth.render(doc, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec()])
     spec = dsp.stft_logfreq(dsp.AudioClip(audio))
     assert np.all(spec.frames[1:-1].argmax(axis=1) == 132)
@@ -27,15 +23,15 @@ def test_whole_note_a4_argmax_at_a4_bin():
 
 def test_tied_halves_equal_whole_note():
     # same total duration, single attack: the rendered signals must match
-    tied = _doc("**kern\n[2a\n2a]\n*-\n")
-    whole = _doc("**kern\n1a\n*-\n")
+    tied = kern.parse_kern("**kern\n[2a\n2a]\n*-\n")
+    whole = kern.parse_kern("**kern\n1a\n*-\n")
     tempo = kern.TempoMark("sixty", 60.0)
     voice = [synth.SynthVoiceSpec()]
     assert np.array_equal(synth.render(tied, tempo, voice), synth.render(whole, tempo, voice))
 
 
 def test_tie_no_reattack_envelope():
-    tied = _doc("**kern\n[2a\n2a]\n*-\n")
+    tied = kern.parse_kern("**kern\n[2a\n2a]\n*-\n")
     audio = synth.render(tied, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec((1.0,), 4.0)])
     # envelope across the former note boundary decays smoothly: local peak
     # amplitude right after the join is below the peak right before it
@@ -47,7 +43,7 @@ def test_tie_no_reattack_envelope():
 
 
 def test_total_duration_within_one_sample():
-    doc = _doc("**kern\n4c\n8d\n8e\n2f\n=\n4.g\n8a\n2b\n=\n*-\n")
+    doc = kern.parse_kern("**kern\n4c\n8d\n8e\n2f\n=\n4.g\n8a\n2b\n=\n*-\n")
     tempo = kern.TempoMark("m", 93.0)
     audio = synth.render(doc, tempo, [synth.SynthVoiceSpec()])
     beats = 4 + 4  # two 4/4 measures in quarter-note beats
@@ -56,7 +52,7 @@ def test_total_duration_within_one_sample():
 
 
 def test_render_deterministic():
-    doc = _doc("**kern\t**kern\n4c\t4e\n4d\t4f\n=\t=\n*-\t*-\n")
+    doc = kern.parse_kern("**kern\t**kern\n4c\t4e\n4d\t4f\n=\t=\n*-\t*-\n")
     tempo = kern.TempoMark("presto", 186.0)
     a = synth.render(doc, tempo)
     b = synth.render(doc, tempo)
@@ -64,14 +60,14 @@ def test_render_deterministic():
 
 
 def test_all_rests_render_silence():
-    doc = _doc("**kern\n4r\n2r\n=\n*-\n")
+    doc = kern.parse_kern("**kern\n4r\n2r\n=\n*-\n")
     audio = synth.render(doc, kern.TempoMark("x", 120.0), [synth.SynthVoiceSpec()])
     assert audio.size > 0
     assert np.all(audio == 0.0)
 
 
 def test_peak_normalization():
-    doc = _doc("**kern\t**kern\t**kern\t**kern\n1c\t1e\t1g\t1cc\n*-\t*-\t*-\t*-\n")
+    doc = kern.parse_kern("**kern\t**kern\t**kern\t**kern\n1c\t1e\t1g\t1cc\n*-\t*-\t*-\t*-\n")
     audio = synth.render(doc, kern.TempoMark("x", 120.0))
     peak = np.max(np.abs(audio))
     assert peak <= 0.9 + 1e-9
@@ -79,7 +75,7 @@ def test_peak_normalization():
 
 
 def test_voice_count_mismatch():
-    doc = _doc("**kern\t**kern\n4c\t4e\n*-\t*-\n")
+    doc = kern.parse_kern("**kern\t**kern\n4c\t4e\n*-\t*-\n")
     with pytest.raises(synth.VoiceCountMismatch):
         synth.render(doc, kern.TempoMark("x", 120.0), [synth.SynthVoiceSpec()])
 
@@ -96,7 +92,7 @@ def test_voice_spec_validation():
 
 
 def test_harmonics_above_nyquist_dropped():
-    doc = _doc("**kern\n1cccc\n*-\n")  # C7, second harmonic above 11025/2? no: 2*2093 < 11025
+    doc = kern.parse_kern("**kern\n1cccc\n*-\n")  # C7, second harmonic above 11025/2? no: 2*2093 < 11025
     voice = synth.SynthVoiceSpec(harmonic_amplitudes=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), decay_seconds=4.0)
     audio = synth.render(doc, kern.TempoMark("x", 120.0), [voice])
     # 6th harmonic of C7 (12.5 kHz) must be silently dropped, not folded
@@ -109,7 +105,7 @@ def test_harmonics_above_nyquist_dropped():
 
 
 def test_rest_advances_time():
-    doc = _doc("**kern\n4a\n4r\n4a\n*-\n")
+    doc = kern.parse_kern("**kern\n4a\n4r\n4a\n*-\n")
     audio = synth.render(doc, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec((1.0,), 8.0)])
     assert audio.size == 3 * 22050
     mid = audio[22050 + 2000 : 2 * 22050 - 2000]
@@ -125,11 +121,11 @@ def test_shared_note_cache_matches_fresh_renders():
     tones = {}
     # (document, voices, samples of the cached A4 of voice after rendering it)
     cases = [
-        (_doc("**kern\n8a\n4c\n*-\n"), [voice], 11025),  # short A4 first
-        (_doc("**kern\n[2a\n2a]\n=\n4a\n*-\n"), [voice], 4 * 22050),  # tie-merged: the entry grows
-        (_doc("**kern\t**kern\n2a\t4a\n.\t4c\n*-\t*-\n"), [voice, same], 4 * 22050),  # equal specs share
-        (_doc("**kern\n1a\n*-\n"), [other], 4 * 22050),  # same pitch, other harmonics
-        (_doc("**kern\n4a\n*-\n"), [voice], 4 * 22050),  # a prefix of the grown entry
+        (kern.parse_kern("**kern\n8a\n4c\n*-\n"), [voice], 11025),  # short A4 first
+        (kern.parse_kern("**kern\n[2a\n2a]\n=\n4a\n*-\n"), [voice], 4 * 22050),  # tie-merged: the entry grows
+        (kern.parse_kern("**kern\t**kern\n2a\t4a\n.\t4c\n*-\t*-\n"), [voice, same], 4 * 22050),  # equal specs share
+        (kern.parse_kern("**kern\n1a\n*-\n"), [other], 4 * 22050),  # same pitch, other harmonics
+        (kern.parse_kern("**kern\n4a\n*-\n"), [voice], 4 * 22050),  # a prefix of the grown entry
     ]
     for doc, voices, cached in cases:
         shared = synth.render(doc, tempo, voices, tones)
