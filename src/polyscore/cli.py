@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,7 +100,13 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float: not a bool, NaN, an infinity or an int past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _substream(*parts) -> np.random.Generator:

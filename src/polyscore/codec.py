@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .atomic import atomic_open
 from .errors import DataError, ModelError
-from .kern import CONTINUATION, KernDocument, Row, ScoreEvent
+from .kern import CONTINUATION, MAX_VOICES, KernDocument, Row, ScoreEvent
 
 EPSILON = "<eps>"
 TAB = "\t"
@@ -239,12 +240,16 @@ def decode(seq: TokenSequence) -> KernDocument:
     """Parse a token sequence back into a document; inverse of :func:`encode`.
 
     Raises :class:`ScoreSyntaxError` when the sequence is not a well-formed
-    score, carrying the failing token position.
+    score, carrying the failing token position. Well-formed means that
+    :func:`kern.parse_kern` reads the serialized document back unchanged: at
+    most four spines, no row of only continuations, and no tie close in a
+    spine without an open tie.
     """
     vocab = seq.vocab
     tokens = seq.tokens
     rows: list[Row] = []
     spine_count: int | None = None
+    open_ties: Counter[int] = Counter()  # by spine
 
     i = 0
     n = len(tokens)
@@ -285,10 +290,15 @@ def decode(seq: TokenSequence) -> KernDocument:
                     step, accidental, octave = vocab.payload_of(tokens[i])
                     i += 1
                     tie_close = i < n and vocab.kind_of(tokens[i]) == "tie_close"
-                    if tie_close:
-                        i += 1
                     if tie_open and tie_close:
                         raise ScoreSyntaxError("note both opens and closes a tie", cell_start)
+                    if tie_close:
+                        if not open_ties[len(cells)]:
+                            raise ScoreSyntaxError("tie close without a matching open", i)
+                        open_ties[len(cells)] -= 1
+                        i += 1
+                    elif tie_open:
+                        open_ties[len(cells)] += 1
                     fermata = i < n and vocab.kind_of(tokens[i]) == "fermata"
                     if fermata:
                         i += 1
@@ -321,9 +331,14 @@ def decode(seq: TokenSequence) -> KernDocument:
                 break
             raise ScoreSyntaxError(f"unexpected {kind} symbol inside a row", i)
         if spine_count is None:
+            if len(cells) > MAX_VOICES:
+                message = f"row has {len(cells)} cells, more than {MAX_VOICES} voices"
+                raise ScoreSyntaxError(message, row_start)
             spine_count = len(cells)
         elif len(cells) != spine_count:
             raise ScoreSyntaxError(f"row has {len(cells)} cells, expected {spine_count}", row_start)
+        if all(ev.kind == "continuation" for ev in cells):
+            raise ScoreSyntaxError("row of only continuations", row_start)
         rows.append(Row(kind="data", cells=tuple(cells)))
 
     return KernDocument(spine_count=spine_count or 1, rows=tuple(rows))

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DataError
 
 CANONICAL_DURATIONS = (1, 2, 4, 8, 16, 32, 64)
+MAX_VOICES = 4
 
 STEP_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
@@ -315,8 +316,8 @@ def parse_kern(text: str) -> KernDocument:
             if any(c != "**kern" for c in cells):
                 raise UnknownToken("only **kern spines are supported", lineno)
             spine_count = len(cells)
-            if spine_count > 4:
-                raise TooManyVoices(f"{spine_count} spines exceed the 4-voice limit")
+            if spine_count > MAX_VOICES:
+                raise TooManyVoices(f"{spine_count} spines exceed the {MAX_VOICES}-voice limit")
             groups = [1] * spine_count
             open_ties = [0] * spine_count
             started = True

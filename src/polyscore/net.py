@@ -311,65 +311,73 @@ def _bn_backward(dy, cache):
 
 
 def _lstm_forward(xp, wh):
-    """Both directions at once over time-major (T, 2, B, 4H) input projections.
+    """Both directions at once over time-major, gate-major (T, 4, 2, B, H) input projections.
 
-    Gate blocks within the 4H axis are [i, f, o, g]; the direction axis holds
-    the forward direction at index 0 and the backward direction at index 1,
-    and ``wh`` is the (2, H, 4H) stack of their recurrent weights.
+    The gate axis holds [i, f, o, g]; the direction axis holds the forward
+    direction at index 0 and the backward direction at index 1, and ``wh`` is
+    the (2, H, 4H) stack of their recurrent weights, gate blocks [i, f, o, g]
+    along its last axis.
 
     ``xp`` becomes the gate cache: step t's projection is overwritten with
     its activated gates. Train and eval share this one recurrence; eval drops
-    the cache. The cache is time-major, so each step reads and writes one
-    contiguous (2, B, .) slice of every array:
+    the cache. The cache is time-major and gate-major, so each step's gates
+    are contiguous (2, B, H) blocks, the three sigmoid gates one contiguous
+    (3, 2, B, H) block:
 
     - ``h_all``, ``c_all``: (T + 1, 2, B, H) hidden and cell states, row 0 the
       zero initial state;
-    - ``gates``: (T, 2, B, 4H) activated gates [i, f, o, g] (``xp`` itself);
+    - ``gates``: (T, 4, 2, B, H) activated gates (``xp`` itself);
     - ``tanh_c``: (T, 2, B, H), tanh of each step's cell state;
     - ``wh`` as given.
 
     Returns the (T, 2, B, H) hidden outputs and the cache.
     """
-    length, _, n, four_h = xp.shape
-    h_units = four_h // 4
+    length, _, _, n, h_units = xp.shape
     # sigmoid(z) = 0.5 * (1 + tanh(z / 2)), so one tanh call serves all four
     # gates; halving is exact, so it is folded into the operands once
-    xp[..., : 3 * h_units] *= 0.5
+    xp[:, :3] *= 0.5
     wh_half = wh.copy()
     wh_half[..., : 3 * h_units] *= 0.5
     h_all = np.zeros((length + 1, 2, n, h_units), dtype=xp.dtype)
     c_all = np.zeros((length + 1, 2, n, h_units), dtype=xp.dtype)
     tanh_c = np.empty((length, 2, n, h_units), dtype=xp.dtype)
-    recurrent = np.empty((2, n, four_h), dtype=xp.dtype)
+    # the recurrent product is one direction-major (2, B, 4H) matmul, since
+    # per-gate products would change the BLAS calls and so the bits; its
+    # gate-major view is added to the step's gates
+    recurrent = np.empty((2, n, 4 * h_units), dtype=xp.dtype)
+    recurrent_gates = recurrent.reshape(2, n, 4, h_units).transpose(2, 0, 1, 3)
     input_cand = np.empty((2, n, h_units), dtype=xp.dtype)
-    for t in range(length):
-        a = xp[t]
-        a += np.matmul(h_all[t], wh_half, out=recurrent)
+    # one zip hands each step its views (the gates, the sigmoid block, each
+    # gate, the states it reads and writes) instead of indexing every array
+    steps = zip(
+        xp, xp[:, :3], xp[:, 0], xp[:, 1], xp[:, 2], xp[:, 3],
+        h_all[:-1], h_all[1:], c_all[:-1], c_all[1:], tanh_c,
+    )
+    for a, sig, i, f, o, g, h_prev, h, c_prev, c, tc in steps:
+        np.matmul(h_prev, wh_half, out=recurrent)
+        a += recurrent_gates
         np.tanh(a, out=a)
-        sig = a[..., : 3 * h_units]
         sig += 1.0
         sig *= 0.5
-        c = np.multiply(a[..., h_units : 2 * h_units], c_all[t], out=c_all[t + 1])
-        c += np.multiply(a[..., :h_units], a[..., 3 * h_units :], out=input_cand)
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(a[..., 2 * h_units : 3 * h_units], tanh_c[t], out=h_all[t + 1])
+        np.multiply(f, c_prev, out=c)
+        c += np.multiply(i, g, out=input_cand)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
     return h_all[1:], (h_all, c_all, xp, tanh_c, wh)
 
 
 def _lstm_backward(dh_out, cache):
     """Gradients for (T, 2, B, H) upstream gradients: (d input projections, d wh).
 
-    The input-projection gradients come back time-major, (T, 2, B, 4H). No
-    mask is needed for padded tails: their upstream gradient is zero, so the
-    running dh/dc stay exactly zero until each clip's last valid frame.
+    The input-projection gradients come back time-major and direction-major,
+    (T, 2, B, 4H). No mask is needed for padded tails: their upstream
+    gradient is zero, so the running dh/dc stay exactly zero until each
+    clip's last valid frame.
     """
     h_all, c_all, gates, tanh_c, wh = cache
     length, _, n, h_units = dh_out.shape
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
-    i = gates[..., :h_units]
-    f = gates[..., h_units : 2 * h_units]
-    o = gates[..., 2 * h_units : 3 * h_units]
-    g = gates[..., 3 * h_units :]
+    i, f, o, g = gates.transpose(1, 0, 2, 3, 4)
     # factor everything that does not depend on the running dc/dh out of the
     # loop; each step scales its factors in place: dz = factors * [dc, dc, dh, dc]
     dz_all = np.concatenate(
@@ -382,13 +390,12 @@ def _lstm_backward(dh_out, cache):
     spread = np.empty((2, n, 4 * h_units), dtype=dh_out.dtype)
     dh_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
     dc_next = np.zeros((2, n, h_units), dtype=dh_out.dtype)
-    for t in range(length - 1, -1, -1):
-        np.add(dh_out[t], dh_next, out=dh)
-        np.multiply(dh, b_c[t], out=dc)
+    for dh_t, b_c_t, f_t, dz in zip(dh_out[::-1], b_c[::-1], f[::-1], dz_all[::-1]):
+        np.add(dh_t, dh_next, out=dh)
+        np.multiply(dh, b_c_t, out=dc)
         dc += dc_next
-        dz = dz_all[t]
         dz *= np.concatenate((dc, dc, dh, dc), axis=2, out=spread)
-        np.multiply(dc, f[t], out=dc_next)
+        np.multiply(dc, f_t, out=dc_next)
         np.matmul(dz, wh_t, out=dh_next)
     # dwh sums its (clip, step) rows clip-major; that fixed order fixes the
     # rounding of every trained checkpoint
@@ -430,10 +437,11 @@ def _bilstm_forward(x, params, name, order):
     b = np.concatenate([params[f"{name}_fwd_b"], params[f"{name}_bwd_b"]])
     wh = np.stack([params[f"{name}_fwd_wh"], params[f"{name}_bwd_wh"]])
     h_units = wh.shape[1]
-    # one projection for both directions, gathered straight into time-major order
+    # one projection for both directions, gathered straight into time-major,
+    # gate-major (T, 4, 2, B, H) order
     proj = x.reshape(-1, inputs) @ wx
     proj += b
-    proj = proj.reshape(-1, 4 * h_units)[to_time]
+    proj = proj.reshape(-1, h_units)[to_time[:, None] * 4 + np.arange(4)[:, None, None]]
     h_both, cache = _lstm_forward(proj, wh)
     y = h_both.reshape(-1, h_units)[to_batch].reshape(n, length, 2 * h_units)
     return y, (cache, name, order, x, wx)

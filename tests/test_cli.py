@@ -516,6 +516,27 @@ def test_config_with_wrong_types_is_usage_error(tmp_path):
         assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE, raw
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "infinity", "huge_int"])
+@pytest.mark.parametrize("name", ["train_fraction", "validation_fraction"])
+def test_non_finite_split_fraction_is_usage_error(tmp_path, capsys, name, value):
+    make_corpus(tmp_path / "corpus", n_scores=2, seed=3, two_voice_every=0)
+    # json writes NaN and Infinity as bare constants, which json.loads accepts
+    path = _write_config(tmp_path, **{name: value})
+    assert cli.main(["build", "--config", str(path)]) == cli.EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_non_finite_manifest_duration_is_data_error(tiny_dataset, tmp_path):
+    rows = [json.loads(line) for line in tiny_dataset["manifest"].read_text().splitlines()]
+    manifest = tmp_path / "manifest.jsonl"
+    for value in (float("nan"), float("inf")):
+        rows[0]["duration_s"] = value
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(cli.DataError, match="duration_s"):
+            cli.read_manifest(manifest)
+
+
 def _malformed_inputs(root, data, checkpoint, damage):
     """Apply one kind of damage to a copy of the dataset; returns (argv, exit code)."""
     config_path = _write_config(root)

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from polyscore import codec, kern
 from polyscore.errors import DataError
@@ -172,6 +174,11 @@ def test_decode_rejects_mismatched_row_widths():
         (["4", "C4"], "truncated row without a final newline", 2),
         (["4", "C4", "4", "\n"], "unexpected duration symbol inside a row", 2),
         (["4", "\t", "4", "\n", "4", "\n"], "row has 1 cells, expected 2", 4),
+        (["4", "C4", "]", "\n"], "tie close without a matching open", 2),
+        # a tie opened in one spine does not close in another
+        (["[", "4", "C4", "\t", "4", "\n", "4", "\t", "4", "C4", "]", "\n"], "tie close without a matching open", 10),
+        (["4", "C4", "\n", ".", "\n"], "row of only continuations", 3),
+        (["4", "\t", "4", "\t", "4", "\t", "4", "\t", "4", "\n"], "row has 5 cells, more than 4 voices", 0),
     ],
 )
 def test_decode_failure_messages_and_positions(symbols, message, position):
@@ -181,6 +188,45 @@ def test_decode_failure_messages_and_positions(symbols, message, position):
         codec.decode(seq)
     assert str(info.value) == f"{message} (token position {position})"
     assert info.value.position == position
+
+
+_PROPERTY_VOCAB = codec.Vocabulary(symbols=codec.STRUCTURAL_SYMBOLS + ("4", "8.", "16", "G#3", "C4", "B-5"))
+
+
+@st.composite
+def _plausible_symbols(draw):
+    """Rows of 1-5 cells (a width mostly kept), barlines, ties, fermatas and continuations."""
+    width = draw(st.integers(1, 5))
+    note = st.tuples(
+        st.sampled_from([[], ["["]]),
+        st.sampled_from(["4", "8.", "16"]),
+        st.sampled_from(["G#3", "C4", "B-5"]),
+        st.sampled_from([[], [], ["]"]]),
+        st.sampled_from([[], [], [";"]]),
+    ).map(lambda parts: parts[0] + [parts[1], parts[2]] + parts[3] + parts[4])
+    rest = st.tuples(st.sampled_from(["4", "8.", "16"]), st.sampled_from([[], [";"]])).map(lambda p: [p[0]] + p[1])
+    cell = st.one_of(note, note, rest, st.just(["."]))
+    row = st.one_of(
+        st.just(["=", "\n"]),
+        st.lists(cell, min_size=1, max_size=5).flatmap(
+            lambda cells: st.sampled_from([cells[:width]] * 3 + [cells])
+        ).map(lambda cells: sum(([*c, "\t"] for c in cells), [])[:-1] + ["\n"]),
+    )
+    return sum(draw(st.lists(row, max_size=8)), [])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@seed(20261019)
+@given(symbols=_plausible_symbols())
+def test_decoded_score_parses_back_to_the_same_tokens(symbols):
+    seq = codec.TokenSequence(tokens=tuple(_PROPERTY_VOCAB.index_of(s) for s in symbols), vocab=_PROPERTY_VOCAB)
+    try:
+        doc = codec.decode(seq)
+    except codec.ScoreSyntaxError:
+        return
+    reparsed = kern.parse_kern(kern.serialize(doc))
+    assert reparsed == doc
+    assert codec.encode(reparsed, _PROPERTY_VOCAB) == seq
 
 
 def test_segment_words_four_voice_row():

@@ -522,11 +522,22 @@ def _reference_lstm_backward(dh_out, cache):
     return dz_all, dwh
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("steps", [[13], [7, 4, 9, 11]], ids=["batch1", "padded4"])
-def test_lstm_matches_reference_loops(dtype, steps):
+@pytest.mark.parametrize(
+    "dtype, steps, h",
+    [
+        (np.float32, [13], 8),
+        (np.float64, [13], 8),
+        (np.float32, [7, 4, 9, 11], 8),
+        (np.float64, [7, 4, 9, 11], 8),
+        # the default hidden size, at a transcription-like length and a padded batch
+        (np.float32, [400], 64),
+        (np.float32, [150, 131, 97, 150], 64),
+    ],
+    ids=["batch1-float32", "batch1-float64", "padded4-float32", "padded4-float64", "h64-batch1", "h64-padded4"],
+)
+def test_lstm_matches_reference_loops(dtype, steps, h):
     rng = np.random.default_rng(len(steps))
-    n, length, h = len(steps), max(steps), 8
+    n, length = len(steps), max(steps)
     xp = rng.normal(size=(2, n, length, 4 * h)).astype(dtype)
     wh = (rng.normal(size=(2, h, 4 * h)) / np.sqrt(h)).astype(dtype)
     dh_out = rng.normal(size=(2, n, length, h)).astype(dtype)
@@ -536,9 +547,12 @@ def test_lstm_matches_reference_loops(dtype, steps):
     def time_major(a):
         return np.ascontiguousarray(a.transpose(2, 0, 1, 3))
 
+    def gate_major(a):
+        return np.ascontiguousarray(a.reshape(2, n, length, 4, h).transpose(2, 3, 0, 1, 4))
+
     h_ref, ref_cache = _reference_lstm_forward(xp, wh)
     dz_ref, dwh_ref = _reference_lstm_backward(dh_out, ref_cache)
-    h_out, cache = net._lstm_forward(time_major(xp), wh)
+    h_out, cache = net._lstm_forward(gate_major(xp), wh)
     dz, dwh = net._lstm_backward(time_major(dh_out), cache)
     assert np.array_equal(h_out, time_major(h_ref))
     assert np.array_equal(dz, time_major(dz_ref))
