@@ -323,6 +323,21 @@ def _validation_rates(params, model_config, vocab, samples, batch_size) -> tuple
     return metrics.corpus_rate(wer_stats), metrics.corpus_rate(cer_stats)
 
 
+def _truncate_log(log_path: Path, epochs: int) -> None:
+    """Rewrite the training log keeping only the lines of epochs below ``epochs``."""
+    try:
+        lines = log_path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except FileNotFoundError:
+        lines = []
+    kept = []
+    for line in lines:
+        words = line.split()
+        if len(words) > 1 and words[0] == "epoch" and words[1].isdigit() and int(words[1]) < epochs:
+            kept.append(line + "\n")
+    with atomic_open(log_path, "w", encoding="utf-8", newline="\n") as log:
+        log.writelines(kept)
+
+
 def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     """Train with the annealed-restart schedule, tracking the best model by WER."""
     manifest_path = Path(manifest_path)
@@ -360,8 +375,11 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
         best_wer = None
 
     log_path = ckpt_dir / LOG_FILENAME
-    mode = "a" if resume_checkpoint is not None else "w"
-    with open(log_path, mode, encoding="utf-8", newline="\n") as log:
+    # an epoch's line is logged before its checkpoint is saved, so a save that
+    # failed leaves lines of epochs the checkpoint does not hold; a run from
+    # scratch keeps none
+    _truncate_log(log_path, start_epoch)
+    with open(log_path, "a", encoding="utf-8", newline="\n") as log:
         for epoch in range(start_epoch, config.epochs):
             lr = net.lr_at_epoch(epoch)
             order = _substream(config.seed, "order", epoch).permutation(len(train_samples))

@@ -277,7 +277,8 @@ def parse_kern(text: str) -> KernDocument:
         dropped after their spine splits and merges are applied. Each data
         row keeps one event per base spine: the leftmost subspine of a split,
         the lowest note of a chord, a continuation for a grace note. Rows
-        left with only continuations are dropped.
+        left with only continuations are dropped. A tie opened on a grace
+        note loses its close too, so every kept close has its open.
 
     Raises
     ------
@@ -297,7 +298,8 @@ def parse_kern(text: str) -> KernDocument:
     groups: list[int] = []
     rows: list[Row] = []
     tempo_text: str | None = None
-    open_ties: list[int] = []
+    # per base spine, one entry per open tie: whether it opened on a grace note
+    open_ties: list[list[bool]] = []
     started = False
     for lineno, raw in enumerate(lines, start=1):
         if raw == "":
@@ -319,7 +321,7 @@ def parse_kern(text: str) -> KernDocument:
             if spine_count > MAX_VOICES:
                 raise TooManyVoices(f"{spine_count} spines exceed the {MAX_VOICES}-voice limit")
             groups = [1] * spine_count
-            open_ties = [0] * spine_count
+            open_ties = [[] for _ in range(spine_count)]
             started = True
             continue
 
@@ -357,13 +359,17 @@ def parse_kern(text: str) -> KernDocument:
             for offset, c in enumerate(cells[pos : pos + count]):
                 col = pos + offset + 1
                 ev, ties = _parse_cell(c, lineno, col)
+                grace_close = False
                 for tie in ties:
                     if tie == "close":
-                        if open_ties[base] == 0:
+                        if not open_ties[base]:
                             raise InvalidTie("tie close without a matching open", lineno, col)
-                        open_ties[base] -= 1
+                        grace_close |= open_ties[base].pop()
                     elif tie == "open":
-                        open_ties[base] += 1
+                        # only a grace cell reduces to a continuation and keeps ties
+                        open_ties[base].append(ev.kind == "continuation")
+                if grace_close and ev.tie == "close":
+                    ev = dataclasses.replace(ev, tie="none")
                 if offset == 0:  # the leftmost subspine survives a split
                     if ev.dots > 1 or abs(ev.accidental) > 1:
                         raise UnsupportedNotation(

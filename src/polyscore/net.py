@@ -11,9 +11,18 @@ Batch normalization always normalizes with the stored running statistics (the
 desk-scale batches are too small for batch statistics); the training loop
 updates those statistics explicitly via :func:`update_batchnorm_stats`, so the
 forward pass stays a pure function of (params, input, seed). That also makes a
-batch of clips, right-padded to the longest, compute what each clip computes
-alone. Everything runs in the parameter dtype: :func:`backward` casts the
-incoming loss gradient to it.
+batch of clips compute what each clip computes alone.
+
+A batch carries no padding outside the LSTM recurrence. The conv stages run
+each clip's (C, F, frames) array on its own; from the flattened features on,
+the clips' frames are packed rows, one clip after another, and only the
+recurrence steps over a padded time-major layout, gathered from and scattered
+back to those rows. Every weight gradient is a sum over each clip's frames
+in chunks of at most :data:`CHUNK_ROWS`, taken in clip order
+(:func:`_chunk_sum`), so trained bits depend neither on the batch's padding
+nor on the BLAS thread count.
+Everything runs in the parameter dtype: :func:`backward` casts the incoming
+loss gradient to it.
 """
 from __future__ import annotations
 
@@ -35,6 +44,7 @@ CONV_FILTERS = 16
 CONV_KERNEL = 3
 CONV_FREQ_STRIDE = 2
 CONV_TILE = 128  # output frames per lowered time tile of a convolution
+CHUNK_ROWS = 256  # most frames one weight-gradient product or sum reduces over
 CHECKPOINT_MAGIC = b"PSCK"
 CHECKPOINT_VERSION = 3
 
@@ -159,6 +169,49 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     return ModelParams(tensors=t, trainable=_trainable(t))
 
 
+def _offsets(lengths) -> np.ndarray:
+    """First packed row of each clip, then the total."""
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _clip_rows(lengths) -> list[slice]:
+    """Each clip's slice of the packed rows."""
+    start = _offsets(lengths)
+    return [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+
+
+def _chunks(lengths) -> list[tuple[int, slice]]:
+    """``(clip, frames)`` of each clip's frames in chunks of at most CHUNK_ROWS, in clip order."""
+    return [(b, slice(s, min(s + CHUNK_ROWS, n))) for b, n in enumerate(lengths) for s in range(0, n, CHUNK_ROWS)]
+
+
+def _row_chunks(lengths) -> list[slice]:
+    """The chunks of :func:`_chunks` as slices of the packed rows."""
+    start = _offsets(lengths)
+    return [slice(start[b] + r.start, start[b] + r.stop) for b, r in _chunks(lengths)]
+
+
+def _time_chunks(frames: int) -> list[tuple]:
+    """The chunks of :func:`_chunks` of one clip whose frames lie on the last axis."""
+    return [np.s_[..., r] for _, r in _chunks([frames])]
+
+
+def _chunk_sum(chunks, term):
+    """``term(chunk)`` summed over ``chunks`` in their order.
+
+    Each weight gradient is such a sum over chunks of one clip's frames, so
+    every product and reduction has the same operands whatever the padding,
+    the memory layout of the upstream gradient or the BLAS thread count: a
+    product that reduces over many more rows is split differently between
+    threads, and rounds differently.
+    """
+    chunks = iter(chunks)
+    total = term(next(chunks))
+    for chunk in chunks:
+        total += term(chunk)
+    return total
+
+
 def _conv_same_pad(size: int, stride: int, kernel: int) -> tuple[int, int, int]:
     out = -(-size // stride)
     total = max((out - 1) * stride + kernel - size, 0)
@@ -205,34 +258,34 @@ def _lower(xp_clip, j0, span, lowered, stride_f, f_out, buf):
 
 
 def _conv_forward(x, w, b, stride_f):
-    """3x3 'same' convolution of (B, C, F, W) input, strided on F.
+    """3x3 'same' convolution of one clip's (C, F, frames) input, strided on F.
 
-    The padded input is lowered one clip and one time tile at a time, into
-    buffers allocated once per call, so memory does not grow with the clip.
-    Each tile is one GEMM against :func:`_weight_stack`; the cache keeps the
-    padded input for backward to lower again.
+    The padded input is lowered one time tile at a time, the last tile
+    ending at the clip's length, into buffers allocated once per call, so
+    memory does not grow with the clip. Each tile is one GEMM against
+    :func:`_weight_stack`; the cache keeps the padded input for backward to
+    lower again.
     """
-    n, _, f, width = x.shape
+    _, f, width = x.shape
     c_out = w.shape[0]
     f_out, pf0, pf1 = _conv_same_pad(f, stride_f, CONV_KERNEL)
-    xp = np.pad(x, ((0, 0), (0, 0), (pf0, pf1), (1, 1)))
+    xp = np.pad(x, ((0, 0), (pf0, pf1), (1, 1)))
     stack, lowered = _weight_stack(w)
     halo = CONV_KERNEL - lowered
     tile_cols = f_out * (min(CONV_TILE, width) + halo)
     cols_buf = np.empty(stack.shape[1] * tile_cols, dtype=x.dtype)
     z_buf = np.empty(stack.shape[0] * tile_cols, dtype=x.dtype)
-    y = np.empty((n, c_out, f_out, width), dtype=x.dtype)
+    y = np.empty((c_out, f_out, width), dtype=x.dtype)
     bias = b[:, None, None]
-    for clip in range(n):
-        for j0 in range(0, width, CONV_TILE):
-            t = min(CONV_TILE, width - j0)
-            span = t + halo
-            cols = _lower(xp[clip], j0, span, lowered, stride_f, f_out, cols_buf)
-            z = np.matmul(stack, cols, out=z_buf[: stack.shape[0] * cols.shape[1]].reshape(len(stack), -1))
-            z = z.reshape(-1, c_out, f_out, span)
-            out = np.add(z[0, ..., :t], bias, out=y[clip, :, :, j0 : j0 + t])
-            for s in range(1, len(z)):
-                out += z[s, ..., s * lowered : s * lowered + t]
+    for j0 in range(0, width, CONV_TILE):
+        t = min(CONV_TILE, width - j0)
+        span = t + halo
+        cols = _lower(xp, j0, span, lowered, stride_f, f_out, cols_buf)
+        z = np.matmul(stack, cols, out=z_buf[: stack.shape[0] * cols.shape[1]].reshape(len(stack), -1))
+        z = z.reshape(-1, c_out, f_out, span)
+        out = np.add(z[0, ..., :t], bias, out=y[:, :, j0 : j0 + t])
+        for s in range(1, len(z)):
+            out += z[s, ..., s * lowered : s * lowered + t]
     return y, (xp, f, pf0, stride_f)
 
 
@@ -240,43 +293,47 @@ def _conv_backward(dy, w, cache, input_grad=True):
     """Gradients of :func:`_conv_forward`, lowering the cached padded input again per tile.
 
     The stack's gradient is each tile's ``dy``, copied at every time shift
-    into a halo-wide row block, against the tile's lowering; the input
-    gradient is one GEMM of the transposed stack against those blocks,
-    scattered over the lowered taps' windows.
+    into a halo-wide row block, against the tile's lowering, as one product
+    per frequency row, so that each product reduces over one tile's frames;
+    tiles are added in order. The input gradient is one GEMM of the
+    transposed stack against those blocks, scattered over the lowered taps'
+    windows.
     """
     xp, f, pf0, stride_f = cache
-    n, c_in = xp.shape[:2]
-    _, c_out, f_out, width = dy.shape
+    c_in = xp.shape[0]
+    c_out, f_out, width = dy.shape
     stack, lowered = _weight_stack(w)
     halo = CONV_KERNEL - lowered
     tile_cols = f_out * (min(CONV_TILE, width) + halo)
     cols_buf = np.empty(stack.shape[1] * tile_cols, dtype=xp.dtype)
     dz_buf = np.empty(stack.shape[0] * tile_cols, dtype=xp.dtype)
     dcols_buf = np.empty(stack.shape[1] * tile_cols, dtype=xp.dtype) if input_grad else None
+    row_dstacks = np.empty((f_out, *stack.shape), dtype=xp.dtype)
     dstack = np.zeros_like(stack)
     dxp = np.zeros_like(xp) if input_grad else None
-    for clip in range(n):
-        for j0 in range(0, width, CONV_TILE):
-            t = min(CONV_TILE, width - j0)
-            span = t + halo
-            cols = _lower(xp[clip], j0, span, lowered, stride_f, f_out, cols_buf)
-            dz = dz_buf[: stack.shape[0] * cols.shape[1]].reshape(-1, c_out, f_out, span)
-            for s in range(len(dz)):
-                shift = s * lowered
-                dz[s, ..., :shift] = 0
-                dz[s, ..., shift : shift + t] = dy[clip, :, :, j0 : j0 + t]
-                dz[s, ..., shift + t :] = 0
-            dz = dz.reshape(len(stack), -1)
-            dstack += dz @ cols.T
-            if input_grad:
-                dcols = np.matmul(stack.T, dz, out=dcols_buf[: cols.size].reshape(cols.shape))
-                dcols = dcols.reshape(c_in, -1, f_out, span)
-                for r, rows, a in _windows(stride_f, f_out, lowered):
-                    dxp[clip, :, rows, j0 + a : j0 + a + span] += dcols[:, r]
+    for j0 in range(0, width, CONV_TILE):
+        t = min(CONV_TILE, width - j0)
+        span = t + halo
+        cols = _lower(xp, j0, span, lowered, stride_f, f_out, cols_buf)
+        dz = dz_buf[: stack.shape[0] * cols.shape[1]].reshape(-1, c_out, f_out, span)
+        for s in range(len(dz)):
+            shift = s * lowered
+            dz[s, ..., :shift] = 0
+            dz[s, ..., shift : shift + t] = dy[:, :, j0 : j0 + t]
+            dz[s, ..., shift + t :] = 0
+        dz = dz.reshape(len(stack), f_out, span)
+        np.matmul(dz.transpose(1, 0, 2), cols.reshape(-1, f_out, span).transpose(1, 2, 0), out=row_dstacks)
+        dstack += row_dstacks.sum(axis=0)
+        if input_grad:
+            dcols = np.matmul(stack.T, dz.reshape(len(stack), -1), out=dcols_buf[: cols.size].reshape(cols.shape))
+            dcols = dcols.reshape(c_in, -1, f_out, span)
+            for r, rows, a in _windows(stride_f, f_out, lowered):
+                dxp[:, rows, j0 + a : j0 + a + span] += dcols[:, r]
     shifts = CONV_KERNEL // lowered
     dw = dstack.reshape(shifts, c_out, c_in, CONV_KERNEL, lowered).transpose(1, 2, 3, 0, 4).reshape(w.shape)
-    dx = dxp[:, :, pf0 : pf0 + f, 1 : 1 + width] if input_grad else None
-    return dx, dw, dy.sum(axis=(0, 2, 3))
+    dx = dxp[:, pf0 : pf0 + f, 1 : 1 + width] if input_grad else None
+    db = _chunk_sum(_time_chunks(width), lambda r: dy[r].sum(axis=(1, 2)))
+    return dx, dw, db
 
 
 def _bn_forward(x, gamma, beta, mean, var, channel_axis, train):
@@ -298,13 +355,16 @@ def _bn_forward(x, gamma, beta, mean, var, channel_axis, train):
     return y, (x, inv, gamma, channel_axis, reduce_axes)
 
 
-def _bn_backward(dy, cache):
-    """Gradients of a train-mode :func:`_bn_forward`; ``dy`` becomes the input gradient."""
+def _bn_backward(dy, cache, chunks):
+    """Gradients of a train-mode :func:`_bn_forward`; ``dy`` becomes the input gradient.
+
+    ``chunks`` index the clips' frames in ``dy``, as :func:`_chunk_sum` sums them.
+    """
     xhat, inv, gamma, channel_axis, reduce_axes = cache
     shape = [1] * dy.ndim
     shape[channel_axis] = -1
-    dgamma = (dy * xhat).sum(axis=reduce_axes)
-    dbeta = dy.sum(axis=reduce_axes)
+    dgamma = _chunk_sum(chunks, lambda r: (dy[r] * xhat[r]).sum(axis=reduce_axes))
+    dbeta = _chunk_sum(chunks, lambda r: dy[r].sum(axis=reduce_axes))
     dy *= gamma.reshape(shape)
     dy *= inv
     return dy, dgamma, dbeta
@@ -366,13 +426,14 @@ def _lstm_forward(xp, wh):
     return h_all[1:], (h_all, c_all, xp, tanh_c, wh)
 
 
-def _lstm_backward(dh_out, cache):
+def _lstm_backward(dh_out, cache, steps):
     """Gradients for (T, 2, B, H) upstream gradients: (d input projections, d wh).
 
-    The input-projection gradients come back time-major and direction-major,
-    (T, 2, B, 4H). No mask is needed for padded tails: their upstream
-    gradient is zero, so the running dh/dc stay exactly zero until each
-    clip's last valid frame.
+    ``steps`` holds each clip's valid steps. The input-projection gradients
+    come back time-major and direction-major, (T, 2, B, 4H). No mask is
+    needed for padded tails: their upstream gradient is zero, so the running
+    dh/dc stay exactly zero until each clip's last valid step, provided the
+    padded steps' cached activations are finite.
     """
     h_all, c_all, gates, tanh_c, wh = cache
     length, _, n, h_units = dh_out.shape
@@ -397,70 +458,76 @@ def _lstm_backward(dh_out, cache):
         dz *= np.concatenate((dc, dc, dh, dc), axis=2, out=spread)
         np.multiply(dc, f_t, out=dc_next)
         np.matmul(dz, wh_t, out=dh_next)
-    # dwh sums its (clip, step) rows clip-major; that fixed order fixes the
-    # rounding of every trained checkpoint
-    h_prev = h_all[:-1].transpose(1, 2, 0, 3).reshape(2, n * length, h_units)
-    dz_rows = dz_all.transpose(1, 2, 0, 3).reshape(2, n * length, 4 * h_units)
-    dwh = h_prev.transpose(0, 2, 1) @ dz_rows
+    h_prev = h_all[:-1]
+    dwh = _chunk_sum(
+        _chunks(steps), lambda c: h_prev[c[1], :, c[0]].transpose(1, 2, 0) @ dz_all[c[1], :, c[0]].transpose(1, 0, 2)
+    )
     return dz_all, dwh
 
 
-def _time_major(steps: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row gathers between batch-major (B, T, 2) and time-major (T, 2, B) layouts.
+def _time_major(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row gathers between packed rows and the recurrence's time-major (T, 2, B) slots.
 
-    Direction 0 runs over each clip's frames in order. Direction 1 runs over
-    its valid frames in reverse, with the padding after them in place, so
-    the backward direction also reads its clip first. Returns
-    ``(to_time, to_batch)``, two inverse permutations: ``rows[to_time]``
-    turns rows laid out (clip, frame, direction) into (step, direction,
-    clip), and ``rows[to_batch]`` turns them back.
+    Packed rows hold each clip's frames one clip after another, in
+    (row, direction) order. Direction 0 runs over a clip's frames in order
+    and direction 1 over them in reverse; a clip's steps past its length are
+    padding. Returns ``(to_time, to_packed)``: ``rows[to_time]`` turns
+    (row, direction) rows, with one zero row appended after them, into
+    (step, direction, clip) slots whose padding reads the zero row, and
+    ``slots[to_packed]`` turns the slots back into (row, direction) rows.
     """
     n = len(steps)
-    t = np.arange(length)
-    rev = np.where(t < steps[:, None], steps[:, None] - 1 - t, t)
-    # (B, T, 2) partner of time index t in each direction: direction 1 reads
-    # frame rev[b, t] at step t and, rev being its own inverse, frame t at
-    # step rev[b, t]
-    partner = np.stack([np.broadcast_to(t, rev.shape), rev], axis=2)
+    total = int(steps.sum())
+    first = _offsets(steps)[:-1]
     direction = np.arange(2)
-    clip = np.arange(n)[:, None, None]
-    to_time = ((clip * length + partner) * 2 + direction).transpose(1, 2, 0)
-    to_batch = (partner * 2 + direction) * n + clip
-    return to_time, to_batch
+    # the step at which each direction reads each frame; reversal is its own inverse
+    frame = np.arange(total) - np.repeat(first, steps)
+    clip = np.repeat(np.arange(n), steps)
+    step = np.stack([frame, steps[clip] - 1 - frame], axis=1)
+    to_packed = (step * 2 + direction) * n + clip[:, None]
+    t = np.arange(int(steps.max()))
+    read = np.stack([np.broadcast_to(t, (n, len(t))), steps[:, None] - 1 - t], axis=2)
+    rows = (first[:, None, None] + read) * 2 + direction
+    to_time = np.where((t < steps[:, None])[..., None], rows, 2 * total).transpose(1, 2, 0)
+    return to_time, to_packed
 
 
-def _bilstm_forward(x, params, name, order):
-    """Bidirectional layer over (B, T, I) input; ``order`` from :func:`_time_major`."""
-    n, length, inputs = x.shape
-    to_time, to_batch = order
+def _bilstm_forward(x, params, name, steps, order):
+    """Bidirectional layer over packed (rows, I) input; ``order`` from :func:`_time_major`."""
+    to_time, to_packed = order
     wx = np.concatenate([params[f"{name}_fwd_wx"], params[f"{name}_bwd_wx"]], axis=1)
     b = np.concatenate([params[f"{name}_fwd_b"], params[f"{name}_bwd_b"]])
     wh = np.stack([params[f"{name}_fwd_wh"], params[f"{name}_bwd_wh"]])
     h_units = wh.shape[1]
-    # one projection for both directions, gathered straight into time-major,
-    # gate-major (T, 4, 2, B, H) order
-    proj = x.reshape(-1, inputs) @ wx
-    proj += b
+    # one projection for both directions, then the zero row that padded
+    # steps read, gathered straight into time-major, gate-major
+    # (T, 4, 2, B, H) order
+    proj = np.empty((len(x) + 1, wx.shape[1]), dtype=x.dtype)
+    np.matmul(x, wx, out=proj[:-1])
+    proj[:-1] += b
+    proj[-1] = 0
     proj = proj.reshape(-1, h_units)[to_time[:, None] * 4 + np.arange(4)[:, None, None]]
     h_both, cache = _lstm_forward(proj, wh)
-    y = h_both.reshape(-1, h_units)[to_batch].reshape(n, length, 2 * h_units)
-    return y, (cache, name, order, x, wx)
+    y = h_both.reshape(-1, h_units)[to_packed].reshape(len(x), 2 * h_units)
+    return y, (cache, name, steps, to_packed, x, wx)
 
 
-def _bilstm_backward(dy, cache, grads):
-    lstm_cache, name, (to_time, to_batch), x, wx = cache
-    n, length, inputs = x.shape
-    h_units = dy.shape[2] // 2
-    dz, dwh = _lstm_backward(dy.reshape(-1, h_units)[to_time], lstm_cache)
-    dproj = dz.reshape(-1, 4 * h_units)[to_batch].reshape(n * length, -1)
-    dwx = x.reshape(-1, inputs).T @ dproj
-    db = dproj.sum(axis=0)
+def _bilstm_backward(dy, cache, grads, chunks):
+    lstm_cache, name, steps, to_packed, x, wx = cache
+    h_units = dy.shape[1] // 2
+    # scattered into time-major slots whose padding stays zero
+    dh = np.zeros((int(steps.max()), 2, len(steps), h_units), dtype=dy.dtype)
+    dh.reshape(-1, h_units)[to_packed.ravel()] = dy.reshape(-1, h_units)
+    dz, dwh = _lstm_backward(dh, lstm_cache, steps)
+    dproj = dz.reshape(-1, 4 * h_units)[to_packed].reshape(len(x), -1)
+    dwx = _chunk_sum(chunks, lambda r: x[r].T @ dproj[r])
+    db = _chunk_sum(chunks, lambda r: dproj[r].sum(axis=0))
     for d, direction in enumerate(("fwd", "bwd")):
         cols = slice(4 * h_units * d, 4 * h_units * (d + 1))
         grads[f"{name}_{direction}_wx"] = dwx[:, cols]
         grads[f"{name}_{direction}_wh"] = dwh[d]
         grads[f"{name}_{direction}_b"] = db[cols]
-    return (dproj @ wx.T).reshape(x.shape)
+    return dproj @ wx.T
 
 
 def frame_double(features: np.ndarray) -> np.ndarray:
@@ -520,6 +587,24 @@ def _keep_grad(dx, keep, scale):
     return np.multiply(mask, dx, out=mask)
 
 
+def _conv_stage(x, t, layer, train, rng, p, scale):
+    """One conv layer on one clip's (C, F, frames) array: convolution, batch norm, ReLU, dropout.
+
+    Returns the output, batch norm's input moments and the backward cache,
+    the last two None in eval mode; ``rng`` is None without dropout.
+    """
+    x, conv_cache = _conv_forward(x, t[f"conv{layer}_w"], t[f"conv{layer}_b"], CONV_FREQ_STRIDE)
+    moments = (x.mean(axis=(1, 2)), x.var(axis=(1, 2))) if train else None
+    bn = (t[f"bn{layer}_gamma"], t[f"bn{layer}_beta"], t[f"bn{layer}_mean"], t[f"bn{layer}_var"])
+    x, bn_cache = _bn_forward(x, *bn, 0, train)
+    if not train:
+        return np.maximum(x, 0, out=x), None, None  # ReLU, with no mask to keep
+    keep = x > 0  # ReLU
+    if rng is not None:
+        _drop_units([keep], [rng], p)
+    return _apply_keep(x, keep, scale), moments, (conv_cache, bn_cache, keep)
+
+
 @dataclass(eq=False)
 class TrainCache:
     params: "ModelParams"
@@ -544,9 +629,9 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
     Parameters
     ----------
     specs : list of (W, bins) arrays
-        Input frames of each clip. The batch runs as one: clips are
-        right-padded to the longest, and each clip's output equals what it
-        gives on its own (up to float summation order).
+        Input frames of each clip. The batch runs as one, packed: the
+        clips' frames lie one clip after another, and each clip's output
+        equals what it gives on its own (up to float summation order).
     mode : {"eval", "train"}
         Train mode applies dropout and returns ``(grids, cache)`` for
         :func:`backward`; eval mode returns the grids alone and is a pure
@@ -569,18 +654,16 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
         raise ShapeMismatch("need at least one clip")
     train = mode == "train"
     dropout = train and config.dropout_p > 0
+    rngs = [None] * len(frames)
     if dropout:
         if len(rng_seed) != len(frames):
             raise ValueError(f"need one dropout seed per clip, got {len(rng_seed)} for {len(frames)}")
         rngs = [np.random.default_rng(s) for s in rng_seed]
     t = params.tensors
     dtype = t["out_w"].dtype
-    n = len(frames)
     lengths = np.array([len(f) for f in frames])
-    width = int(lengths.max())
-    padded = bool(np.any(lengths < width))
     stages: list = []
-    bn_moments: list[dict] = [{} for _ in range(n)]
+    bn_moments: list[dict] = [{} for _ in frames]
 
     def staged(kind, key, result):
         """A stage's output; train mode keeps its backward cache, eval mode drops it here."""
@@ -589,63 +672,52 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
             stages.append((kind, key, cache))
         return out
 
-    # (B, C, F, W) through the convolutions; padded columns are zero whenever
-    # a convolution reads them, as they are for a lone clip
-    x = np.zeros((n, 1, config.input_bins, width), dtype=dtype)
-    for b, f in enumerate(frames):
-        x[b, 0, :, : len(f)] = f.T
-    valid = (np.arange(width) < lengths[:, None])[:, None, None, :]
-    # train mode keeps a boolean mask per "mul" stage, and one multiplier; a
+    # train mode keeps a boolean mask per dropout stage, and one multiplier; a
     # division, as multiplying by 1 / (1 - p) would round differently
     scale = dtype.type(1) / dtype.type(1 - config.dropout_p)
+    # the conv stages run each clip's (C, F, frames) array as if alone: one
+    # contiguous block per clip measured faster than packed (C, F, frames)
+    clips = [np.ascontiguousarray(f.T, dtype=dtype)[None] for f in frames]
     for i in range(CONV_LAYERS):
-        x = staged("conv", i, _conv_forward(x, t[f"conv{i}_w"], t[f"conv{i}_b"], CONV_FREQ_STRIDE))
+        caches = []
+        for k, rng in enumerate(rngs):
+            clips[k], moments, cache = _conv_stage(clips[k], t, i, train, rng, config.dropout_p, scale)
+            if train:
+                bn_moments[k][f"bn{i}"] = moments
+                caches.append(cache)
         if train:
-            for b, length in enumerate(lengths):
-                clip = x[b, :, :, :length]
-                bn_moments[b][f"bn{i}"] = (clip.mean(axis=(1, 2)), clip.var(axis=(1, 2)))
-        bn = (t[f"bn{i}_gamma"], t[f"bn{i}_beta"], t[f"bn{i}_mean"], t[f"bn{i}_var"])
-        x = staged("bn", f"bn{i}", _bn_forward(x, *bn, 1, train))
-        if train:
-            keep = x > 0  # ReLU
-            if padded:
-                keep &= valid
-            if dropout:
-                _drop_units([keep[b, :, :, :length] for b, length in enumerate(lengths)], rngs, config.dropout_p)
-            x = staged("mul", None, (_apply_keep(x, keep, scale), (keep, scale)))
-        else:
-            np.maximum(x, 0, out=x)  # ReLU, with no mask to keep
-            if padded:
-                x *= valid
+            stages.append(("conv", i, (caches, scale)))
 
-    # (B, C, F, W) -> (B, W, F*C), feature index = f * C + c
-    x = np.ascontiguousarray(x.transpose(0, 3, 2, 1))
-    x = staged("flatten", None, (x.reshape(n, width, -1), x.shape))
+    # each clip's (C, F, frames) -> packed (frames, F*C) rows, feature index f * C + c
+    _, f_out, _ = clips[0].shape
+    x = np.empty((int(lengths.sum()), f_out * CONV_FILTERS), dtype=dtype)
+    for clip, rows in zip(clips, _clip_rows(lengths)):
+        x[rows].reshape(-1, f_out, CONV_FILTERS)[...] = clip.transpose(2, 1, 0)
+    if train:
+        stages.append(("flatten", None, (lengths, f_out)))
 
     steps = lengths
     if config.frame_doubling:
         x = staged("double", None, (frame_double(x), None))
         steps = 2 * lengths
 
-    order = _time_major(steps, x.shape[1])
+    order = _time_major(steps)
     for l in range(RECURRENT_LAYERS):
-        x = staged("bilstm", l, _bilstm_forward(x, t, f"rnn{l}", order))
+        x = staged("bilstm", l, _bilstm_forward(x, t, f"rnn{l}", steps, order))
         if l < RECURRENT_LAYERS - 1:
             if train:
-                for b, s in enumerate(steps):
-                    bn_moments[b][f"rbn{l}"] = (x[b, :s].mean(axis=0), x[b, :s].var(axis=0))
+                for moments, rows in zip(bn_moments, _clip_rows(steps)):
+                    moments[f"rbn{l}"] = (x[rows].mean(axis=0), x[rows].var(axis=0))
             bn = (t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"])
-            x = staged("bn", f"rbn{l}", _bn_forward(x, *bn, 2, train))
+            x = staged("bn", f"rbn{l}", _bn_forward(x, *bn, 1, train))
     if dropout:
-        keep = np.zeros(x.shape, dtype=bool)
-        for b, s in enumerate(steps):
-            keep[b, :s] = True
-        _drop_units([keep[b, :s] for b, s in enumerate(steps)], rngs, config.dropout_p)
+        keep = np.ones(x.shape, dtype=bool)
+        _drop_units([keep[rows] for rows in _clip_rows(steps)], rngs, config.dropout_p)
         x = staged("mul", None, (_apply_keep(x, keep, scale), (keep, scale)))
 
     x = staged("out", None, (x @ t["out_w"] + t["out_b"], x))
     log_probs = _log_softmax(x)
-    grids = [log_probs[b, :s] for b, s in enumerate(steps)]
+    grids = [log_probs[rows] for rows in _clip_rows(steps)]
     if not train:
         return grids
     return grids, TrainCache(params=params, stages=stages, steps=steps, bn_moments=bn_moments)
@@ -664,35 +736,45 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
     cache.used = True
     t = cache.params.tensors
     out_w = t["out_w"]
-    # padded frames get zero upstream gradient, so they contribute nothing below
-    dx = np.zeros((len(cache.steps), int(cache.steps.max()), out_w.shape[1]), dtype=out_w.dtype)
-    for b, (g, s) in enumerate(zip(grad_logits, cache.steps, strict=True)):
-        dx[b, :s] = g
+    shapes = [np.shape(g) for g in grad_logits]
+    if shapes != [(s, out_w.shape[1]) for s in cache.steps]:
+        raise ValueError(f"upstream gradients of shapes {shapes} do not match the forward's grids")
+    dx = np.concatenate(grad_logits, dtype=out_w.dtype)
+    chunks = _row_chunks(cache.steps)
     grads: dict[str, np.ndarray] = {}
     while cache.stages:
         # popping frees each stage's activations as soon as it is done
         kind, key, data = cache.stages.pop()
         if kind == "out":
-            grads["out_w"] = data.reshape(-1, data.shape[-1]).T @ dx.reshape(-1, dx.shape[-1])
-            grads["out_b"] = dx.sum(axis=(0, 1))
+            grads["out_w"] = _chunk_sum(chunks, lambda r: data[r].T @ dx[r])
+            grads["out_b"] = _chunk_sum(chunks, lambda r: dx[r].sum(axis=0))
             dx = dx @ out_w.T
         elif kind == "mul":
             dx = _keep_grad(dx, *data)
         elif kind == "bn":
-            dx, dgamma, dbeta = _bn_backward(dx, data)
+            dx, dgamma, dbeta = _bn_backward(dx, data, chunks)
             grads[f"{key}_gamma"] = dgamma
             grads[f"{key}_beta"] = dbeta
         elif kind == "bilstm":
-            dx = _bilstm_backward(dx, data, grads)
+            dx = _bilstm_backward(dx, data, grads, chunks)
         elif kind == "double":
             dx = frame_undouble(dx)
         elif kind == "flatten":
-            dx = dx.reshape(data).transpose(0, 3, 2, 1)
+            lengths, f_out = data
+            dx = [dx[rows].reshape(-1, f_out, CONV_FILTERS).transpose(2, 1, 0) for rows in _clip_rows(lengths)]
         elif kind == "conv":
-            # the input spectrogram needs no gradient
-            dx, dw, db = _conv_backward(dx, t[f"conv{key}_w"], data, input_grad=key > 0)
-            grads[f"conv{key}_w"] = dw
-            grads[f"conv{key}_b"] = db
+            # clip by clip, each clip's gradient sums added in clip order
+            caches, scale = data
+            clip_grads = []
+            for k, (conv_cache, bn_cache, keep) in enumerate(caches):
+                d = _keep_grad(dx[k], keep, scale)
+                d, dgamma, dbeta = _bn_backward(d, bn_cache, _time_chunks(d.shape[-1]))
+                # the input spectrogram needs no gradient
+                dx[k], dw, db = _conv_backward(d, t[f"conv{key}_w"], conv_cache, input_grad=key > 0)
+                clip_grads.append((dw, db, dgamma, dbeta))
+            names = (f"conv{key}_w", f"conv{key}_b", f"bn{key}_gamma", f"bn{key}_beta")
+            for name, parts in zip(names, zip(*clip_grads)):
+                grads[name] = _chunk_sum(parts, lambda part: part)
     return grads
 
 

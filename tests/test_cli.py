@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -246,6 +249,68 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert cli.cmd_train(config_two, manifest, resume_checkpoint=resume_from) == 0
 
     assert (root / "steps" / "last.ckpt").read_bytes() == (full_dir / "last.ckpt").read_bytes()
+
+
+def test_train_checkpoint_does_not_depend_on_blas_thread_count(tmp_path):
+    # one epoch on the acceptance toy corpus and model, in two child
+    # processes that differ only in OPENBLAS_NUM_THREADS: every weight
+    # gradient sums bounded products over one clip's frames in a fixed order
+    make_corpus(tmp_path / "corpus", n_scores=7, seed=1, two_voice_every=7, n_measures=9)
+    toy = {
+        "seed": 11, "train_fraction": 0.8, "validation_fraction": 0.2, "test_fraction": 0.0,
+        "min_measures": 1, "max_measures": 2, "overlap_train": True, "batch_size": 4,
+        "model": {"hidden_units": 64, "dropout_p": 0.1, "frame_doubling": False},
+    }
+    config = cli.RunConfig.from_file(_write_config(tmp_path, **toy))
+    assert cli.cmd_build(config) == 0
+    manifest = Path(config.out_dir) / cli.MANIFEST_FILENAME
+    src = str(Path(cli.__file__).parents[1])
+    checkpoints = []
+    for threads in ("1", "2"):
+        config_path = _write_config(tmp_path, checkpoint_dir=f"ckpt{threads}", **toy)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys; from polyscore import cli; sys.exit(cli.main(sys.argv[1:]))"
+        run = subprocess.run(
+            [sys.executable, "-c", code, "train", "--config", str(config_path), "--manifest", str(manifest)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        checkpoints.append((tmp_path / f"ckpt{threads}" / "last.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
+def test_train_resume_after_failed_save_matches_uninterrupted(tmp_path, monkeypatch):
+    # the save of last.ckpt after epoch 1 fails once the epoch's log line is
+    # written; resuming from the epoch-1 checkpoint must not log epoch 1 twice
+    root = tmp_path
+    make_corpus(root / "corpus", n_scores=3, seed=8, two_voice_every=3)
+    config = cli.RunConfig.from_file(_write_config(root, epochs=3))
+    config.validate()
+    assert cli.cmd_build(config) == 0
+    manifest = Path(config.out_dir) / cli.MANIFEST_FILENAME
+    full_dir = root / "full"
+    assert cli.cmd_train(cli.RunConfig.from_file(_write_config(root, epochs=3, checkpoint_dir="full")), manifest) == 0
+
+    real_save = net.save_checkpoint
+
+    def failing_save(path, *args, epoch=0, **kwargs):
+        if Path(path).name == "last.ckpt" and epoch == 2:
+            raise OSError("disk full")
+        return real_save(path, *args, epoch=epoch, **kwargs)
+
+    steps_config = cli.RunConfig.from_file(_write_config(root, epochs=3, checkpoint_dir="steps"))
+    monkeypatch.setattr(net, "save_checkpoint", failing_save)
+    with pytest.raises(OSError):
+        cli.cmd_train(steps_config, manifest)
+    monkeypatch.setattr(net, "save_checkpoint", real_save)
+    steps_dir = root / "steps"
+    assert net.load_checkpoint(steps_dir / "last.ckpt")[3]["epoch"] == 1
+    assert (steps_dir / cli.LOG_FILENAME).read_text().count("epoch 1 ") == 1
+    assert cli.cmd_train(steps_config, manifest, resume_checkpoint=steps_dir / "last.ckpt") == 0
+
+    for name in ("last.ckpt", cli.LOG_FILENAME):
+        assert (steps_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
 
 def test_transcribe_training_sample(tiny_dataset, capsys, tmp_path):

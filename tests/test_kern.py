@@ -89,6 +89,20 @@ def test_parse_tie_open_close_across_rows_ok():
     assert [r.cells[0].duration for r in doc.rows] == [8]
 
 
+def test_tie_opened_on_grace_note_drops_both_marks():
+    # the grace note is not kept, so its tie's close must not be kept either:
+    # a dangling close would make the serialized score unreadable
+    doc = kern.parse_kern("**kern\n[8cq\n8c]\n4d\n*-\n")
+    assert [(r.cells[0].duration, r.cells[0].tie) for r in doc.rows] == [(8, "none"), (4, "none")]
+    text = kern.serialize(doc)
+    assert "]" not in text
+    assert kern.parse_kern(text) == doc
+    # a tie opened on a kept note still closes on the next one
+    doc = kern.parse_kern("**kern\n[4c\n8dq\n4c]\n*-\n")
+    assert [r.cells[0].tie for r in doc.rows] == ["open", "close"]
+    assert kern.parse_kern(kern.serialize(doc)) == doc
+
+
 def test_parse_barline_in_every_spine():
     with pytest.raises(kern.MalformedSpine):
         kern.parse_kern("**kern\t**kern\n=\t4c\n*-\t*-\n")

@@ -359,6 +359,38 @@ def _close(actual, expected, rtol):
     return np.abs(actual - expected).max() <= rtol * max(np.abs(expected).max(), 1e-30)
 
 
+def _check_batch_against_clips(config, params, clips, seeds, targets, rtol):
+    """The packed batch's grids, moments and summed gradients against lone-clip runs.
+
+    A clip without a target gets zero upstream gradient, as an infeasible clip does.
+    """
+    grids, cache = net.forward(params, config, clips, mode="train", rng_seed=seeds)
+    assert len(grids) == len(cache.bn_moments) == len(clips)
+    upstream = []
+    expected: dict[str, np.ndarray] = {}
+    for x, seed, target, grid, moments in zip(clips, seeds, targets, grids, cache.bn_moments):
+        [single], single_cache = net.forward(params, config, [x], mode="train", rng_seed=[seed])
+        assert grid.shape == single.shape
+        assert _close(grid, single, rtol)
+        for name, (mean, var) in single_cache.bn_moments[0].items():
+            assert _close(moments[name][0], mean, rtol) and _close(moments[name][1], var, rtol)
+        if target is None:
+            upstream.append(np.zeros_like(grid))
+            continue
+        loss, single_upstream = ctc.ctc_loss(single, target)
+        batch_loss, batch_upstream = ctc.ctc_loss(grid, target)
+        assert abs(batch_loss - loss) <= rtol * abs(loss)
+        upstream.append(batch_upstream)
+        for name, g in net.backward(single_cache, [single_upstream]).items():
+            expected[name] = expected.get(name, 0) + g
+    grads = net.backward(cache, upstream)
+    assert set(grads) == set(expected)
+    for name, g in grads.items():
+        assert _close(g, expected[name], rtol), name
+    for grid, x in zip(net.forward(params, config, clips, mode="eval"), clips):
+        assert _close(grid, net.forward(params, config, [x], mode="eval")[0], rtol)
+
+
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-10), (np.float32, 1e-4)])
 def test_batch_matches_per_clip_runs(dtype, rtol):
     # unequal lengths leave padded tails in both LSTM directions; the last,
@@ -366,31 +398,16 @@ def test_batch_matches_per_clip_runs(dtype, rtol):
     params = tiny_params(dtype=dtype)
     rng = np.random.default_rng(17)
     clips = [rng.random((w, 24)) for w in (7, 4, 9, 11)]
-    seeds = [31, 32, 33, 34]
-    targets = [[1, 2, 1], [3], [2, 4, 4, 1]]
-    grids, cache = net.forward(params, TINY, clips, mode="train", rng_seed=seeds)
-    assert len(grids) == len(cache.bn_moments) == 4
-    upstream = []
-    expected: dict[str, np.ndarray] = {}
-    for x, seed, target, grid, moments in zip(clips, seeds, targets, grids, cache.bn_moments):
-        [single], single_cache = net.forward(params, TINY, [x], mode="train", rng_seed=[seed])
-        assert grid.shape == single.shape
-        assert _close(grid, single, rtol)
-        for name, (mean, var) in single_cache.bn_moments[0].items():
-            assert _close(moments[name][0], mean, rtol) and _close(moments[name][1], var, rtol)
-        loss, single_upstream = ctc.ctc_loss(single, target)
-        batch_loss, batch_upstream = ctc.ctc_loss(grid, target)
-        assert abs(batch_loss - loss) <= rtol * abs(loss)
-        upstream.append(batch_upstream)
-        for name, g in net.backward(single_cache, [single_upstream]).items():
-            expected[name] = expected.get(name, 0) + g
-    upstream.append(np.zeros_like(grids[3]))
-    grads = net.backward(cache, upstream)
-    assert set(grads) == set(expected)
-    for name, g in grads.items():
-        assert _close(g, expected[name], rtol), name
-    for grid, x in zip(net.forward(params, TINY, clips, mode="eval"), clips):
-        assert _close(grid, net.forward(params, TINY, [x], mode="eval")[0], rtol)
+    targets = [[1, 2, 1], [3], [2, 4, 4, 1], None]
+    _check_batch_against_clips(TINY, params, clips, [31, 32, 33, 34], targets, rtol)
+    # lengths that straddle the conv time tile and the gradient chunk, and a
+    # one-frame clip, with frame doubling on and off
+    clips = [rng.random((w, 24)) for w in (1, 40, net.CONV_TILE + 1, 300)]
+    targets = [[2], [1, 2, 1], [3, 4, 3], [1, 2, 3, 4, 1]]
+    for doubling in (True, False):
+        config = net.ModelConfig(vocab_size=5, input_bins=24, hidden_units=8, frame_doubling=doubling, dropout_p=0.1)
+        params = net.init_params(config, seed=336, dtype=dtype)
+        _check_batch_against_clips(config, params, clips, [41, 42, 43, 44], targets, rtol)
 
 
 def _reference_conv(x, w, b, dy):
@@ -414,23 +431,34 @@ def _reference_conv(x, w, b, dy):
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("c_in, bins", [(1, 9), (1, 10), (16, 9), (16, 10)])
 def test_conv_matches_direct_sum(dtype, rtol, c_in, bins):
-    # three time tiles, the last one ragged; the second clip is right-padded
-    # with zeros as in a batch, and an odd bin count pads both frequency edges
+    # three time tiles, the last one ragged; the second clip is 40 frames
+    # shorter, so its last tile ends at its own length, and an odd bin count
+    # pads both frequency edges. The reference runs both clips as one batch,
+    # right-padded with zeros, with zero dy on the padding.
     rng = np.random.default_rng(c_in * bins)
     width = 2 * net.CONV_TILE + 7
+    lengths = [width, width - 40]
     x = rng.normal(size=(2, c_in, bins, width))
-    x[1, :, :, width - 40 :] = 0.0
+    x[1, :, :, lengths[1] :] = 0.0
     w = rng.normal(size=(net.CONV_FILTERS, c_in, 3, 3))
     b = rng.normal(size=net.CONV_FILTERS)
     dy = rng.normal(size=(2, net.CONV_FILTERS, -(-bins // 2), width))
+    dy[1, :, :, lengths[1] :] = 0.0
     y_ref, dx_ref, dw_ref, db_ref = _reference_conv(x, w, b, dy)
-    y, cache = net._conv_forward(x.astype(dtype), w.astype(dtype), b.astype(dtype), 2)
-    dx, dw, db = net._conv_backward(dy.astype(dtype), w.astype(dtype), cache)
-    for actual, expected in ((y, y_ref), (dx, dx_ref), (dw, dw_ref), (db, db_ref)):
+    dw_sum = db_sum = 0
+    for k, length in enumerate(lengths):
+        clip = x[k, ..., :length].astype(dtype)
+        y, cache = net._conv_forward(clip, w.astype(dtype), b.astype(dtype), 2)
+        dx, dw, db = net._conv_backward(dy[k, ..., :length].astype(dtype), w.astype(dtype), cache)
+        for actual, expected in ((y, y_ref[k, ..., :length]), (dx, dx_ref[k, ..., :length])):
+            assert actual.dtype == dtype and actual.shape == expected.shape
+            assert _close(actual, expected, rtol)
+        _, dw_only, _ = net._conv_backward(dy[k, ..., :length].astype(dtype), w.astype(dtype), cache, input_grad=False)
+        assert np.array_equal(dw_only, dw)
+        dw_sum, db_sum = dw_sum + dw, db_sum + db
+    for actual, expected in ((dw_sum, dw_ref), (db_sum, db_ref)):
         assert actual.dtype == dtype and actual.shape == expected.shape
         assert _close(actual, expected, rtol)
-    _, dw_only, _ = net._conv_backward(dy.astype(dtype), w.astype(dtype), cache, input_grad=False)
-    assert np.array_equal(dw_only, dw)
 
 
 def test_eval_forward_memory_is_bounded_and_released():
@@ -495,7 +523,7 @@ def _reference_lstm_forward(xp, wh):
     return h_all[:, :, 1:], (h_all, c_all, gates, tanh_c, wh)
 
 
-def _reference_lstm_backward(dh_out, cache):
+def _reference_lstm_backward(dh_out, cache, steps):
     h_all, c_all, gates, tanh_c, wh = cache
     _, n, length, h_units = dh_out.shape
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
@@ -517,8 +545,12 @@ def _reference_lstm_backward(dh_out, cache):
         dz = np.multiply(np.concatenate([dc, dc, dh, dc], axis=2), factors[:, :, t], out=dz_all[:, :, t])
         dc_next = dc * f[:, :, t]
         dh_next = dz @ wh_t
-    h_prev = h_all[:, :, :-1].reshape(2, n * length, h_units)
-    dwh = h_prev.transpose(0, 2, 1) @ dz_all.reshape(2, n * length, 4 * h_units)
+    # each clip's valid steps, in chunks of at most CHUNK_ROWS, clip by clip
+    dwh = np.zeros_like(wh)
+    for b, s in enumerate(steps):
+        for t0 in range(0, s, net.CHUNK_ROWS):
+            rows = slice(t0, min(t0 + net.CHUNK_ROWS, s))
+            dwh += h_all[:, b, rows].transpose(0, 2, 1) @ dz_all[:, b, rows]
     return dz_all, dwh
 
 
@@ -551,9 +583,9 @@ def test_lstm_matches_reference_loops(dtype, steps, h):
         return np.ascontiguousarray(a.reshape(2, n, length, 4, h).transpose(2, 3, 0, 1, 4))
 
     h_ref, ref_cache = _reference_lstm_forward(xp, wh)
-    dz_ref, dwh_ref = _reference_lstm_backward(dh_out, ref_cache)
+    dz_ref, dwh_ref = _reference_lstm_backward(dh_out, ref_cache, steps)
     h_out, cache = net._lstm_forward(gate_major(xp), wh)
-    dz, dwh = net._lstm_backward(time_major(dh_out), cache)
+    dz, dwh = net._lstm_backward(time_major(dh_out), cache, np.array(steps))
     assert np.array_equal(h_out, time_major(h_ref))
     assert np.array_equal(dz, time_major(dz_ref))
     assert np.array_equal(dwh, dwh_ref)
@@ -561,15 +593,18 @@ def test_lstm_matches_reference_loops(dtype, steps, h):
 
 def test_time_major_order_reverses_valid_frames_only():
     steps = np.array([3, 5])
-    to_time, to_batch = net._time_major(steps, 5)
-    rows = np.arange(2 * 5 * 2).reshape(2, 5, 2)  # labels of (clip, frame, direction)
-    steps_major = rows.reshape(-1)[to_time]
+    to_time, to_packed = net._time_major(steps)
+    rows = np.arange(8 * 2).reshape(8, 2)  # labels of (packed row, direction)
+    pad = -1  # label of the zero row appended after the rows
+    steps_major = np.append(rows, pad)[to_time]
     assert steps_major.shape == (5, 2, 2)
-    assert np.array_equal(steps_major[:, 0].T, rows[:, :, 0])
+    # direction 0 reads each clip's frames in order, then its padding
+    assert steps_major[:, 0, 0].tolist() == [0, 2, 4, pad, pad]
+    assert steps_major[:, 0, 1].tolist() == rows[3:8, 0].tolist()
     # direction 1 reads clip 0's three frames backwards, then its padding
-    assert steps_major[:, 1, 0].tolist() == rows[0, [2, 1, 0, 3, 4], 1].tolist()
-    assert steps_major[:, 1, 1].tolist() == rows[1, [4, 3, 2, 1, 0], 1].tolist()
-    assert np.array_equal(steps_major.reshape(-1)[to_batch], rows)
+    assert steps_major[:, 1, 0].tolist() == [5, 3, 1, pad, pad]
+    assert steps_major[:, 1, 1].tolist() == rows[[7, 6, 5, 4, 3], 1].tolist()
+    assert np.array_equal(steps_major.reshape(-1)[to_packed], rows)
 
 
 def test_float32_params_give_float32_grads():
