@@ -33,6 +33,7 @@ EXIT_MODEL = 3
 VOCAB_FILENAME = "vocab.txt"
 MANIFEST_FILENAME = "manifest.jsonl"
 LOG_FILENAME = "train_log.txt"
+_INT64_MAX = 2**63 - 1  # the largest count a config may give: fragment sizes are drawn as int64
 
 
 @dataclass
@@ -68,10 +69,10 @@ class RunConfig:
             raise ConfigError("split fractions must be non-negative and sum to 1")
         if self.train_fraction <= 0:
             raise ConfigError("train fraction must be positive")
-        if not 1 <= self.min_measures <= self.max_measures:
-            raise ConfigError("need 1 <= min_measures <= max_measures")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if not 1 <= self.min_measures <= self.max_measures <= _INT64_MAX:
+            raise ConfigError(f"need 1 <= min_measures <= max_measures <= {_INT64_MAX}")
+        if not (1 <= self.batch_size <= _INT64_MAX and 0 <= self.epochs <= _INT64_MAX):
+            raise ConfigError(f"batch_size must lie in [1, {_INT64_MAX}] and epochs in [0, {_INT64_MAX}]")
         if not isinstance(self.default_tempo, str):
             raise ConfigError("default_tempo must be a string")
         try:
@@ -290,17 +291,19 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str, ...]):
-    """Load (id, spectrogram frames, target) triples for the requested splits.
+def _features(wav_path) -> np.ndarray:
+    """A WAV file's (W, bins) spectrogram frames as float32, the dtype the network rounds them to."""
+    return dsp.stft_logfreq(dsp.load_wav(wav_path)).frames.astype(np.float32)
 
-    The frames are kept as float32, the dtype the network rounds them to.
-    """
+
+def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str, ...]):
+    """Load (id, spectrogram frames, target) triples for the requested splits."""
     base = manifest_path.parent
     loaded = {s: [] for s in splits}
     for sample in read_manifest(manifest_path):
         if sample.split not in splits:
             continue
-        spec = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames.astype(np.float32)
+        spec = _features(base / sample.audio)
         target = _read_tokens(base / sample.tokens, vocab)
         loaded[sample.split].append((sample.id, spec, target))
     return loaded
@@ -354,12 +357,6 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(ckpt_dir / VOCAB_FILENAME)
 
-    data = _load_split(manifest_path, vocab, ("train", "validation"))
-    train_samples = data["train"]
-    val_samples = data["validation"] or train_samples
-    if not train_samples:
-        raise DataError("manifest has no training samples")
-
     if resume_checkpoint is not None:
         loaded_config, params, velocity, state = net.load_checkpoint(
             resume_checkpoint, expected_vocab_hash=vocab_hash
@@ -369,10 +366,19 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
         start_epoch = state["epoch"]
         best_wer = state["best_wer"]
     else:
-        params = net.init_params(model_config, _subseed(config.seed, "init"))
+        try:
+            params = net.init_params(model_config, _subseed(config.seed, "init"))
+        except (ValueError, MemoryError) as exc:  # tensors too large to allocate
+            raise ConfigError(f"invalid model configuration: {exc}") from exc
         velocity = net.zero_velocity(params)
         start_epoch = 0
         best_wer = None
+
+    data = _load_split(manifest_path, vocab, ("train", "validation"))
+    train_samples = data["train"]
+    val_samples = data["validation"] or train_samples
+    if not train_samples:
+        raise DataError("manifest has no training samples")
 
     log_path = ckpt_dir / LOG_FILENAME
     # an epoch's line is logged before its checkpoint is saved, so a save that
@@ -442,8 +448,7 @@ def _load_model(checkpoint_path):
 def cmd_transcribe(checkpoint_path, wav_path) -> int:
     """WAV -> log-posteriors -> greedy collapse -> kern text on stdout."""
     vocab, model_config, params = _load_model(checkpoint_path)
-    frames = dsp.stft_logfreq(dsp.load_wav(wav_path)).frames
-    (hyp,) = _decode(params, model_config, [frames], vocab)
+    (hyp,) = _decode(params, model_config, [_features(wav_path)], vocab)
     try:
         doc = codec.decode(hyp)
     except codec.ScoreSyntaxError as exc:
@@ -470,8 +475,7 @@ def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool, orac
             if oracle:
                 hyp = target
             else:
-                frames = dsp.stft_logfreq(dsp.load_wav(base / sample.audio)).frames
-                (hyp,) = _decode(params, model_config, [frames], vocab)
+                (hyp,) = _decode(params, model_config, [_features(base / sample.audio)], vocab)
             w = metrics.wer(target, hyp)
             c = metrics.cer(target, hyp)
         except (DataError, OSError) as exc:

@@ -52,16 +52,6 @@ class TooShort(DataError):
 
 
 @dataclass(eq=False)
-class AudioClip:
-    samples: np.ndarray  # at SAMPLE_RATE
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-
-
-@dataclass(eq=False)
 class Spectrogram:
     frames: np.ndarray  # (W, 240) float64, HOP_SIZE samples apart
 
@@ -78,12 +68,12 @@ def frame_count(n_samples: int) -> int:
     return (n_samples - WINDOW_SIZE) // HOP_SIZE + 1
 
 
-def load_wav(path) -> AudioClip:
-    """Read a 16-bit PCM WAV file; stereo is downmixed by channel averaging.
+def load_wav(path) -> np.ndarray:
+    """Read a 16-bit PCM WAV file as float64 samples in [-1, 1).
 
-    A path that is not a whole WAV file (truncated or malformed header, data
-    ending inside a frame, a directory) raises UnsupportedFormat; a WAV with
-    no frames raises TooShort.
+    Stereo is downmixed by channel averaging. A path that is not a whole WAV
+    file (truncated or malformed header, data ending inside a frame, a
+    directory) raises UnsupportedFormat; a WAV with no frames raises TooShort.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -110,7 +100,7 @@ def load_wav(path) -> AudioClip:
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
-    return AudioClip(samples=data)
+    return data
 
 
 def write_wav(path, samples: np.ndarray) -> None:
@@ -207,15 +197,15 @@ def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.abs(scratch[:, : k_hi - k_lo])
 
 
-def stft_logfreq(clip: AudioClip) -> Spectrogram:
-    """Log-frequency, log-magnitude spectrogram of a clip.
+def stft_logfreq(samples: np.ndarray) -> Spectrogram:
+    """Log-frequency, log-magnitude spectrogram of mono samples at SAMPLE_RATE.
 
     Raises :class:`TooShort` for clips shorter than one window. Trailing
     samples that do not fill a whole window are dropped.
     """
-    n = clip.samples.size
-    width = frame_count(n)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, WINDOW_SIZE)[::HOP_SIZE]
+    samples = np.asarray(samples, dtype=np.float64)
+    width = frame_count(samples.size)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_SIZE)[::HOP_SIZE]
     frames = frames[:width]
     blocks = _octave_blocks()
     out = np.empty((width, N_BINS), dtype=np.float64)

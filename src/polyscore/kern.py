@@ -155,16 +155,6 @@ class KernDocument:
         return sum(1 for r in self.rows if r.kind == "barline")
 
 
-@dataclass(frozen=True)
-class TempoMark:
-    label: str
-    quarter_bpm: float
-
-    def __post_init__(self):
-        if self.quarter_bpm <= 0:
-            raise ValueError("quarter_bpm must be positive")
-
-
 def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     stripped = "".join(ch for ch in token if ch not in _DECORATIONS and ch not in "qQ")
     if "_" in stripped:
@@ -277,8 +267,10 @@ def parse_kern(text: str) -> KernDocument:
         dropped after their spine splits and merges are applied. Each data
         row keeps one event per base spine: the leftmost subspine of a split,
         the lowest note of a chord, a continuation for a grace note. Rows
-        left with only continuations are dropped. A tie opened on a grace
-        note loses its close too, so every kept close has its open.
+        left with only continuations are dropped. A kept tie close is
+        dropped unless a kept note of its spine holds an open tie, as when
+        the tie opened on a grace note, a chord's upper note or a right-hand
+        subspine; so every kept close has its open.
 
     Raises
     ------
@@ -298,8 +290,9 @@ def parse_kern(text: str) -> KernDocument:
     groups: list[int] = []
     rows: list[Row] = []
     tempo_text: str | None = None
-    # per base spine, one entry per open tie: whether it opened on a grace note
-    open_ties: list[list[bool]] = []
+    # per base spine: ties open on any note, and ties open on a kept note
+    open_ties: list[int] = []
+    kept_ties: list[int] = []
     started = False
     for lineno, raw in enumerate(lines, start=1):
         if raw == "":
@@ -321,7 +314,8 @@ def parse_kern(text: str) -> KernDocument:
             if spine_count > MAX_VOICES:
                 raise TooManyVoices(f"{spine_count} spines exceed the {MAX_VOICES}-voice limit")
             groups = [1] * spine_count
-            open_ties = [[] for _ in range(spine_count)]
+            open_ties = [0] * spine_count
+            kept_ties = [0] * spine_count
             started = True
             continue
 
@@ -359,23 +353,27 @@ def parse_kern(text: str) -> KernDocument:
             for offset, c in enumerate(cells[pos : pos + count]):
                 col = pos + offset + 1
                 ev, ties = _parse_cell(c, lineno, col)
-                grace_close = False
                 for tie in ties:
                     if tie == "close":
                         if not open_ties[base]:
                             raise InvalidTie("tie close without a matching open", lineno, col)
-                        grace_close |= open_ties[base].pop()
+                        open_ties[base] -= 1
                     elif tie == "open":
-                        # only a grace cell reduces to a continuation and keeps ties
-                        open_ties[base].append(ev.kind == "continuation")
-                if grace_close and ev.tie == "close":
-                    ev = dataclasses.replace(ev, tie="none")
-                if offset == 0:  # the leftmost subspine survives a split
-                    if ev.dots > 1 or abs(ev.accidental) > 1:
-                        raise UnsupportedNotation(
-                            "double dots/sharps/flats are outside the supported subset", lineno
-                        )
-                    kept.append(ev)
+                        open_ties[base] += 1
+                if offset:  # only the leftmost subspine survives a split
+                    continue
+                if ev.tie == "open":
+                    kept_ties[base] += 1
+                elif ev.tie == "close":
+                    if kept_ties[base]:
+                        kept_ties[base] -= 1
+                    else:  # its open was on a note that is not kept
+                        ev = dataclasses.replace(ev, tie="none")
+                if ev.dots > 1 or abs(ev.accidental) > 1:
+                    raise UnsupportedNotation(
+                        "double dots/sharps/flats are outside the supported subset", lineno
+                    )
+                kept.append(ev)
             pos += count
         if any(ev.kind != "continuation" for ev in kept):
             rows.append(Row(kind="data", cells=tuple(kept)))
@@ -486,7 +484,7 @@ def fragment(
     return out
 
 
-def assign_tempo(label: str, rng_seed: int | None = None) -> TempoMark:
+def assign_tempo(label: str, rng_seed: int | None = None) -> float:
     """Resolve a tempo label to quarter-notes per minute, optionally jittered.
 
     With a seed, the table value is scaled by a uniform draw in
@@ -500,7 +498,7 @@ def assign_tempo(label: str, rng_seed: int | None = None) -> TempoMark:
     factor = 1.0
     if rng_seed is not None:
         factor = float(np.random.default_rng(rng_seed).uniform(TEMPO_JITTER_LOW, TEMPO_JITTER_HIGH))
-    return TempoMark(label=label, quarter_bpm=base * factor)
+    return base * factor
 
 
 def event_to_token(ev: ScoreEvent) -> str:

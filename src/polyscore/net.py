@@ -99,14 +99,6 @@ class ModelConfig:
         return self.conv_feature_dims()[-1] * CONV_FILTERS
 
 
-@dataclass(eq=False)
-class ModelParams:
-    """Ordered name -> tensor map; running BN statistics are not trainable."""
-
-    tensors: dict[str, np.ndarray]
-    trainable: tuple[str, ...]
-
-
 def _uniform(rng, shape, fan_in, dtype):
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
@@ -145,12 +137,16 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _trainable(names) -> tuple[str, ...]:
+def trainable(names) -> tuple[str, ...]:
+    """The trainable ones of the given tensor names, in order: all but the running BN statistics."""
     return tuple(n for n in names if not (n.endswith("_mean") or n.endswith("_var")))
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Seeded initialization: uniform +-1/sqrt(fan_in), forget-gate bias 1."""
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
+    """Seeded initialization: uniform +-1/sqrt(fan_in), forget-gate bias 1.
+
+    Returns name -> tensor in :func:`param_shapes` order.
+    """
     rng = np.random.default_rng(seed)
     h = config.hidden_units
     t: dict[str, np.ndarray] = {}
@@ -166,7 +162,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
             t[name] = np.zeros(shape, dtype=dtype)
             if name.startswith("rnn"):
                 t[name][h : 2 * h] = 1.0  # forget-gate block of an LSTM bias
-    return ModelParams(tensors=t, trainable=_trainable(t))
+    return t
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -607,7 +603,7 @@ def _conv_stage(x, t, layer, train, rng, p, scale):
 
 @dataclass(eq=False)
 class TrainCache:
-    params: "ModelParams"
+    params: dict[str, np.ndarray]
     stages: list
     steps: np.ndarray  # output frames per clip
     bn_moments: list[dict]  # per clip, (mean, var) by layer
@@ -623,7 +619,7 @@ def _input_frames(spec, bins: int) -> np.ndarray:
     return frames
 
 
-def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "eval", rng_seed=()):
+def forward(params: dict[str, np.ndarray], config: ModelConfig, specs: list, mode: str = "eval", rng_seed=()):
     """Run the network on a batch of spectrograms.
 
     Parameters
@@ -659,8 +655,7 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
         if len(rng_seed) != len(frames):
             raise ValueError(f"need one dropout seed per clip, got {len(rng_seed)} for {len(frames)}")
         rngs = [np.random.default_rng(s) for s in rng_seed]
-    t = params.tensors
-    dtype = t["out_w"].dtype
+    dtype = params["out_w"].dtype
     lengths = np.array([len(f) for f in frames])
     stages: list = []
     bn_moments: list[dict] = [{} for _ in frames]
@@ -681,7 +676,7 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
     for i in range(CONV_LAYERS):
         caches = []
         for k, rng in enumerate(rngs):
-            clips[k], moments, cache = _conv_stage(clips[k], t, i, train, rng, config.dropout_p, scale)
+            clips[k], moments, cache = _conv_stage(clips[k], params, i, train, rng, config.dropout_p, scale)
             if train:
                 bn_moments[k][f"bn{i}"] = moments
                 caches.append(cache)
@@ -703,19 +698,19 @@ def forward(params: ModelParams, config: ModelConfig, specs: list, mode: str = "
 
     order = _time_major(steps)
     for l in range(RECURRENT_LAYERS):
-        x = staged("bilstm", l, _bilstm_forward(x, t, f"rnn{l}", steps, order))
+        x = staged("bilstm", l, _bilstm_forward(x, params, f"rnn{l}", steps, order))
         if l < RECURRENT_LAYERS - 1:
             if train:
                 for moments, rows in zip(bn_moments, _clip_rows(steps)):
                     moments[f"rbn{l}"] = (x[rows].mean(axis=0), x[rows].var(axis=0))
-            bn = (t[f"rbn{l}_gamma"], t[f"rbn{l}_beta"], t[f"rbn{l}_mean"], t[f"rbn{l}_var"])
+            bn = [params[f"rbn{l}_{stat}"] for stat in ("gamma", "beta", "mean", "var")]
             x = staged("bn", f"rbn{l}", _bn_forward(x, *bn, 1, train))
     if dropout:
         keep = np.ones(x.shape, dtype=bool)
         _drop_units([keep[rows] for rows in _clip_rows(steps)], rngs, config.dropout_p)
         x = staged("mul", None, (_apply_keep(x, keep, scale), (keep, scale)))
 
-    x = staged("out", None, (x @ t["out_w"] + t["out_b"], x))
+    x = staged("out", None, (x @ params["out_w"] + params["out_b"], x))
     log_probs = _log_softmax(x)
     grids = [log_probs[rows] for rows in _clip_rows(steps)]
     if not train:
@@ -734,8 +729,8 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
     if not isinstance(cache, TrainCache) or cache.used:
         raise StaleCache("backward needs a fresh cache from a train-mode forward")
     cache.used = True
-    t = cache.params.tensors
-    out_w = t["out_w"]
+    params = cache.params
+    out_w = params["out_w"]
     shapes = [np.shape(g) for g in grad_logits]
     if shapes != [(s, out_w.shape[1]) for s in cache.steps]:
         raise ValueError(f"upstream gradients of shapes {shapes} do not match the forward's grids")
@@ -770,7 +765,7 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
                 d = _keep_grad(dx[k], keep, scale)
                 d, dgamma, dbeta = _bn_backward(d, bn_cache, _time_chunks(d.shape[-1]))
                 # the input spectrogram needs no gradient
-                dx[k], dw, db = _conv_backward(d, t[f"conv{key}_w"], conv_cache, input_grad=key > 0)
+                dx[k], dw, db = _conv_backward(d, params[f"conv{key}_w"], conv_cache, input_grad=key > 0)
                 clip_grads.append((dw, db, dgamma, dbeta))
             names = (f"conv{key}_w", f"conv{key}_b", f"bn{key}_gamma", f"bn{key}_beta")
             for name, parts in zip(names, zip(*clip_grads)):
@@ -778,19 +773,19 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
     return grads
 
 
-def update_batchnorm_stats(params: ModelParams, moments: list[dict], momentum: float = 0.1) -> None:
+def update_batchnorm_stats(params: dict[str, np.ndarray], moments: list[dict], momentum: float = 0.1) -> None:
     """Blend the mean of the clips' activation moments into the running statistics."""
     for name in moments[0]:
         mean = np.stack([m[name][0] for m in moments]).mean(axis=0)
         var = np.stack([m[name][1] for m in moments]).mean(axis=0)
-        rm = params.tensors[f"{name}_mean"]
-        rv = params.tensors[f"{name}_var"]
-        params.tensors[f"{name}_mean"] = ((1 - momentum) * rm + momentum * mean).astype(rm.dtype)
-        params.tensors[f"{name}_var"] = ((1 - momentum) * rv + momentum * var).astype(rv.dtype)
+        rm = params[f"{name}_mean"]
+        rv = params[f"{name}_var"]
+        params[f"{name}_mean"] = ((1 - momentum) * rm + momentum * mean).astype(rm.dtype)
+        params[f"{name}_var"] = ((1 - momentum) * rv + momentum * var).astype(rv.dtype)
 
 
 def sgd_nesterov_step(
-    params: ModelParams,
+    params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     velocity: dict[str, np.ndarray],
     lr: float,
@@ -802,7 +797,7 @@ def sgd_nesterov_step(
     existing arrays, so float32 training state stays float32 and
     round-trips checkpoints exactly.
     """
-    for name in params.trainable:
+    for name in trainable(params):
         if name not in grads:
             continue
         g = grads[name]
@@ -814,11 +809,11 @@ def sgd_nesterov_step(
         step = v * momentum
         step += g
         step *= lr
-        params.tensors[name] -= step
+        params[name] -= step
 
 
-def zero_velocity(params: ModelParams) -> dict[str, np.ndarray]:
-    return {n: np.zeros_like(params.tensors[n]) for n in params.trainable}
+def zero_velocity(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {n: np.zeros_like(params[n]) for n in trainable(params)}
 
 
 def lr_at_epoch(epoch: int) -> float:
@@ -835,7 +830,7 @@ def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str
 def save_checkpoint(
     path,
     config: ModelConfig,
-    params: ModelParams,
+    params: dict[str, np.ndarray],
     velocity: dict[str, np.ndarray],
     vocab_hash: bytes,
     epoch: int = 0,
@@ -851,14 +846,12 @@ def save_checkpoint(
     the previous checkpoint intact.
     """
     shapes = param_shapes(config)
-    trainable = _trainable(shapes)
-    unmatched = sorted((params.tensors.keys() ^ shapes.keys()) | (velocity.keys() ^ set(trainable)))
+    names = trainable(shapes)
+    unmatched = sorted((params.keys() ^ shapes.keys()) | (velocity.keys() ^ set(names)))
     if unmatched:
         raise CheckpointError(f"tensors {unmatched} are missing or not in the model configuration")
-    if params.trainable != trainable:
-        raise CheckpointError(f"trainable tensors {params.trainable} are not the configuration's {trainable}")
-    arrays = [params.tensors[n] for n in shapes] + [velocity[n] for n in trainable]
-    for name, array in zip([*shapes, *trainable], arrays):
+    arrays = [params[n] for n in shapes] + [velocity[n] for n in names]
+    for name, array in zip([*shapes, *names], arrays):
         if array.shape != shapes[name]:
             raise CheckpointError(f"tensor {name} has shape {array.shape}, expected {shapes[name]}")
     header = json.dumps(
@@ -907,7 +900,7 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
             if best_wer is not None and type(best_wer) not in (int, float):
                 raise CheckpointError(f"best_wer must be a number or null, got {best_wer!r}")
             shapes = param_shapes(config)
-            velocity_shapes = {n: shapes[n] for n in _trainable(shapes)}
+            velocity_shapes = {n: shapes[n] for n in trainable(shapes)}
             counts = [sum(math.prod(shape) for shape in s.values()) for s in (shapes, velocity_shapes)]
             payload_bytes = 4 * sum(counts)
             # checked before allocating, so a damaged header cannot ask for a huge buffer
@@ -927,7 +920,7 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise VocabularyMismatch("checkpoint vocabulary hash does not match")
-    params = ModelParams(tensors=_unflatten(flats[0], shapes), trainable=tuple(velocity_shapes))
+    params = _unflatten(flats[0], shapes)
     velocity = _unflatten(flats[1], velocity_shapes)
     state = {"epoch": epoch, "best_wer": best_wer, "vocab_hash": vocab_hash}
     return config, params, velocity, state

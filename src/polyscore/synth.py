@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import SAMPLE_RATE
-from .kern import KernDocument, ScoreEvent, TempoMark
+from .kern import KernDocument, ScoreEvent
 
 PEAK_LEVEL = 0.9
 
@@ -58,16 +58,16 @@ def voices_for(spine_count: int) -> list[SynthVoiceSpec]:
     return [DEFAULT_VOICES[i % len(DEFAULT_VOICES)] for i in range(spine_count)]
 
 
-def event_seconds(ev: ScoreEvent, tempo: TempoMark) -> float:
+def event_seconds(ev: ScoreEvent, quarter_bpm: float) -> float:
     beats = (4.0 / ev.duration) * (1.5 if ev.dots else 1.0)
-    return beats * 60.0 / tempo.quarter_bpm
+    return beats * 60.0 / quarter_bpm
 
 
 def note_frequency(ev: ScoreEvent) -> float:
     return 440.0 * 2.0 ** ((ev.midi - 69) / 12.0)
 
 
-def _spine_notes(doc: KernDocument, spine: int, tempo: TempoMark):
+def _spine_notes(doc: KernDocument, spine: int, quarter_bpm: float):
     """Yield (start_s, duration_s, frequency) per attack, ties merged."""
     t = 0.0
     pending = None  # (start, duration, freq) of an open tie
@@ -77,7 +77,7 @@ def _spine_notes(doc: KernDocument, spine: int, tempo: TempoMark):
         ev = row.cells[spine]
         if ev.kind == "continuation":
             continue
-        dur = event_seconds(ev, tempo)
+        dur = event_seconds(ev, quarter_bpm)
         if ev.kind == "rest":
             if pending is not None:
                 yield pending
@@ -102,9 +102,9 @@ def _spine_notes(doc: KernDocument, spine: int, tempo: TempoMark):
         yield pending
 
 
-def _spine_seconds(doc: KernDocument, spine: int, tempo: TempoMark) -> float:
+def _spine_seconds(doc: KernDocument, spine: int, quarter_bpm: float) -> float:
     return sum(
-        event_seconds(row.cells[spine], tempo)
+        event_seconds(row.cells[spine], quarter_bpm)
         for row in doc.rows
         if row.kind == "data" and row.cells[spine].kind in ("note", "rest")
     )
@@ -121,12 +121,12 @@ def _note_wave(voice: SynthVoiceSpec, freq: float, stop: int, start: int = 0) ->
     return tone * envelope
 
 
-def render(doc: KernDocument, tempo: TempoMark, voices=None, tones=None) -> np.ndarray:
+def render(doc: KernDocument, quarter_bpm: float, voices=None, tones=None) -> np.ndarray:
     """Render a parsed document to mono samples at 22050 Hz.
 
-    One voice spec per spine; tied notes sound as a single attack spanning
-    their combined duration. The mix is peak-normalized to 0.9 (silence stays
-    silent).
+    The tempo is ``quarter_bpm`` quarter notes per minute. One voice spec
+    per spine; tied notes sound as a single attack spanning their combined
+    duration. The mix is peak-normalized to 0.9 (silence stays silent).
 
     ``tones`` is the note cache: a dict from (voice spec, frequency) to the
     longest waveform synthesized so far for that pair. A note reads the first
@@ -143,11 +143,11 @@ def render(doc: KernDocument, tempo: TempoMark, voices=None, tones=None) -> np.n
         )
     if tones is None:
         tones = {}
-    total = max((_spine_seconds(doc, s, tempo) for s in range(doc.spine_count)), default=0.0)
+    total = max((_spine_seconds(doc, s, quarter_bpm) for s in range(doc.spine_count)), default=0.0)
     n = int(round(total * SAMPLE_RATE))
     mix = np.zeros(n, dtype=np.float64)
     for spine, voice in enumerate(voices):
-        for start, dur, freq in _spine_notes(doc, spine, tempo):
+        for start, dur, freq in _spine_notes(doc, spine, quarter_bpm):
             s0 = int(round(start * SAMPLE_RATE))
             s1 = min(int(round((start + dur) * SAMPLE_RATE)), n)
             if s1 <= s0:

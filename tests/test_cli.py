@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -16,7 +18,7 @@ from _toycorpus import make_corpus, make_score
 from polyscore import cli, codec, dsp, net
 
 
-def _write_config(root, **overrides):
+def _config(**overrides) -> dict:
     cfg = {
         "corpus_dir": "corpus",
         "out_dir": "data",
@@ -36,8 +38,12 @@ def _write_config(root, **overrides):
         "model": {"hidden_units": 8, "dropout_p": 0.1, "frame_doubling": False},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def _write_config(root, **overrides):
     path = root / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_config(**overrides)))
     return path
 
 
@@ -342,9 +348,9 @@ def test_transcribe_malformed_output_prints_raw_symbols(tiny_dataset, tmp_path, 
     ckpt_dir = tiny_dataset["checkpoint_dir"]
     vocab = codec.Vocabulary.load(ckpt_dir / cli.VOCAB_FILENAME)
     config, params, velocity, state = net.load_checkpoint(ckpt_dir / "best.ckpt")
-    params.tensors["out_w"][:] = 0.0
-    params.tensors["out_b"][:] = 0.0
-    params.tensors["out_b"][vocab.index_of(codec.TAB)] = 10.0
+    params["out_w"][:] = 0.0
+    params["out_b"][:] = 0.0
+    params["out_b"][vocab.index_of(codec.TAB)] = 10.0
     net.save_checkpoint(tmp_path / "tab.ckpt", config, params, velocity, state["vocab_hash"])
     shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
     wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
@@ -557,6 +563,10 @@ def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monke
         {"frame_doubling": 1},
         {"conv_kernel": 3},  # a field of version 1 configurations
         {"input_bins": 120},  # the spectrogram has 240 bins
+        # tensors past NumPy's largest dimension, and tensors of petabytes:
+        # both fail to allocate at once
+        {"hidden_units": 10**20},
+        {"hidden_units": 2**40},
     ):
         bad = _write_config(tmp_path, model=model)
         rc = cli.main(["train", "--config", str(bad), "--manifest", str(tiny_dataset["manifest"])])
@@ -575,6 +585,7 @@ def test_config_with_wrong_types_is_usage_error(tmp_path):
         {"batch_size": True},
         {"max_duration_s": True},  # not a config key: refused as unknown
         {"train_fraction": True, "validation_fraction": 0, "test_fraction": 0},
+        {"max_measures": 10**20},  # past int64, the type fragment sizes are drawn in
     )
     for raw in wrong:
         path.write_text(json.dumps(raw))
@@ -806,6 +817,66 @@ def test_damaged_checkpoint_stays_inside_exit_codes(tiny_dataset, cut, flips):
         dsp.write_wav(wav, 0.5 * np.sin(0.05 * np.arange(_FUZZ_SAMPLES)))
         rc = cli.main(["transcribe", str(wav), "--checkpoint", str(checkpoint)])
     assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_MODEL)
+
+
+_DROP = object()  # a mutation that deletes the key
+# values a mutation puts in place of a config or model value: non-finite and
+# huge numbers (each hidden_units among them fails to allocate at once),
+# other types, nested objects
+_ODD_VALUES = (
+    float("nan"), float("inf"), -float("inf"), 10**20, 2**63, 10**400, -(10**20), 0, 1, 0.5,
+    True, None, "x", [1, 2], {}, {"a": {"b": 1}},
+)
+# every key but epochs (kept at 0) and the three path fields
+_FUZZ_KEYS = (
+    "seed", "train_fraction", "validation_fraction", "test_fraction", "fragment_enabled",
+    "min_measures", "max_measures", "overlap_train", "default_tempo", "tempo_jitter",
+    "batch_size", "model", "model.hidden_units", "model.dropout_p", "model.frame_doubling",
+)
+
+
+@st.composite
+def _fuzzed_config_texts(draw):
+    """The JSON text of a valid config with up to four keys dropped or given odd values, or non-object JSON."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(["[]", "1", '"config"', "null", "NaN", "[1, 2]", "{"]))
+    config = _config(epochs=0)
+    for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=4)):
+        value = draw(st.sampled_from((_DROP,) + _ODD_VALUES))
+        parent, _, name = key.rpartition(".")
+        target = config[parent] if parent else config
+        if not isinstance(target, dict):
+            continue  # the model was replaced by a value that is not an object
+        if value is _DROP:
+            target.pop(name, None)
+        else:
+            target[name] = value
+    return json.dumps(config)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(20261019)
+@given(text=_fuzzed_config_texts())
+def test_fuzzed_config_stays_inside_exit_codes(tiny_dataset, text):
+    # build and a 0-epoch train exit 0 where the config stayed valid and 1
+    # where it did not, and raise nothing
+    source = tiny_dataset["manifest"].parent
+    rows = [r for r in map(json.loads, tiny_dataset["manifest"].read_text().splitlines()) if r["split"] == "train"][:3]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        make_corpus(root / "corpus", n_scores=2, seed=3, two_voice_every=0, n_measures=3)
+        dataset = root / "dataset"
+        for name in [cli.VOCAB_FILENAME] + [r[key] for r in rows for key in ("audio", "tokens")]:
+            (dataset / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source / name, dataset / name)
+        (dataset / cli.MANIFEST_FILENAME).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        config = root / "config.json"
+        config.write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            for argv in (["build"], ["train", "--manifest", str(dataset / cli.MANIFEST_FILENAME)]):
+                assert cli.main([*argv, "--config", str(config)]) in (cli.EXIT_OK, cli.EXIT_USAGE), (argv, text)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def _drop_field(raw: bytes, pick: int, jsonl: bool) -> bytes:

@@ -4,20 +4,16 @@ import pytest
 from polyscore import dsp, kern, synth
 
 
-def _tempo(bpm_label, value=None):
-    return kern.TempoMark(label=bpm_label, quarter_bpm=value or kern.TEMPO_MAP[bpm_label])
-
-
 def test_quarter_note_duration_at_60_bpm():
     doc = kern.parse_kern("**kern\n4a\n*-\n")
-    audio = synth.render(doc, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec()])
+    audio = synth.render(doc, 60.0, [synth.SynthVoiceSpec()])
     assert audio.size == 22050
 
 
 def test_whole_note_a4_argmax_at_a4_bin():
     doc = kern.parse_kern("**kern\n1a\n*-\n")
-    audio = synth.render(doc, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec()])
-    spec = dsp.stft_logfreq(dsp.AudioClip(audio))
+    audio = synth.render(doc, 60.0, [synth.SynthVoiceSpec()])
+    spec = dsp.stft_logfreq(audio)
     assert np.all(spec.frames[1:-1].argmax(axis=1) == 132)
 
 
@@ -25,14 +21,14 @@ def test_tied_halves_equal_whole_note():
     # same total duration, single attack: the rendered signals must match
     tied = kern.parse_kern("**kern\n[2a\n2a]\n*-\n")
     whole = kern.parse_kern("**kern\n1a\n*-\n")
-    tempo = kern.TempoMark("sixty", 60.0)
+    tempo = 60.0
     voice = [synth.SynthVoiceSpec()]
     assert np.array_equal(synth.render(tied, tempo, voice), synth.render(whole, tempo, voice))
 
 
 def test_tie_no_reattack_envelope():
     tied = kern.parse_kern("**kern\n[2a\n2a]\n*-\n")
-    audio = synth.render(tied, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec((1.0,), 4.0)])
+    audio = synth.render(tied, 60.0, [synth.SynthVoiceSpec((1.0,), 4.0)])
     # envelope across the former note boundary decays smoothly: local peak
     # amplitude right after the join is below the peak right before it
     boundary = 22050 * 2 // 2
@@ -44,7 +40,7 @@ def test_tie_no_reattack_envelope():
 
 def test_total_duration_within_one_sample():
     doc = kern.parse_kern("**kern\n4c\n8d\n8e\n2f\n=\n4.g\n8a\n2b\n=\n*-\n")
-    tempo = kern.TempoMark("m", 93.0)
+    tempo = 93.0
     audio = synth.render(doc, tempo, [synth.SynthVoiceSpec()])
     beats = 4 + 4  # two 4/4 measures in quarter-note beats
     expected = beats * 60.0 / 93.0 * 22050
@@ -53,7 +49,7 @@ def test_total_duration_within_one_sample():
 
 def test_render_deterministic():
     doc = kern.parse_kern("**kern\t**kern\n4c\t4e\n4d\t4f\n=\t=\n*-\t*-\n")
-    tempo = kern.TempoMark("presto", 186.0)
+    tempo = 186.0
     a = synth.render(doc, tempo)
     b = synth.render(doc, tempo)
     assert np.array_equal(a, b)
@@ -61,14 +57,14 @@ def test_render_deterministic():
 
 def test_all_rests_render_silence():
     doc = kern.parse_kern("**kern\n4r\n2r\n=\n*-\n")
-    audio = synth.render(doc, kern.TempoMark("x", 120.0), [synth.SynthVoiceSpec()])
+    audio = synth.render(doc, 120.0, [synth.SynthVoiceSpec()])
     assert audio.size > 0
     assert np.all(audio == 0.0)
 
 
 def test_peak_normalization():
     doc = kern.parse_kern("**kern\t**kern\t**kern\t**kern\n1c\t1e\t1g\t1cc\n*-\t*-\t*-\t*-\n")
-    audio = synth.render(doc, kern.TempoMark("x", 120.0))
+    audio = synth.render(doc, 120.0)
     peak = np.max(np.abs(audio))
     assert peak <= 0.9 + 1e-9
     assert peak == pytest.approx(0.9, abs=1e-9)
@@ -77,7 +73,7 @@ def test_peak_normalization():
 def test_voice_count_mismatch():
     doc = kern.parse_kern("**kern\t**kern\n4c\t4e\n*-\t*-\n")
     with pytest.raises(synth.VoiceCountMismatch):
-        synth.render(doc, kern.TempoMark("x", 120.0), [synth.SynthVoiceSpec()])
+        synth.render(doc, 120.0, [synth.SynthVoiceSpec()])
 
 
 def test_voice_spec_validation():
@@ -94,7 +90,7 @@ def test_voice_spec_validation():
 def test_harmonics_above_nyquist_dropped():
     doc = kern.parse_kern("**kern\n1cccc\n*-\n")  # C7, second harmonic above 11025/2? no: 2*2093 < 11025
     voice = synth.SynthVoiceSpec(harmonic_amplitudes=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), decay_seconds=4.0)
-    audio = synth.render(doc, kern.TempoMark("x", 120.0), [voice])
+    audio = synth.render(doc, 120.0, [voice])
     # 6th harmonic of C7 (12.5 kHz) must be silently dropped, not folded
     # back to 22050 - 12558 = 9492 Hz (the 5th at 10465 Hz stays legitimate)
     spec = np.abs(np.fft.rfft(audio[:16384]))
@@ -106,7 +102,7 @@ def test_harmonics_above_nyquist_dropped():
 
 def test_rest_advances_time():
     doc = kern.parse_kern("**kern\n4a\n4r\n4a\n*-\n")
-    audio = synth.render(doc, kern.TempoMark("sixty", 60.0), [synth.SynthVoiceSpec((1.0,), 8.0)])
+    audio = synth.render(doc, 60.0, [synth.SynthVoiceSpec((1.0,), 8.0)])
     assert audio.size == 3 * 22050
     mid = audio[22050 + 2000 : 2 * 22050 - 2000]
     assert np.all(mid == 0.0)
@@ -116,7 +112,7 @@ def test_shared_note_cache_matches_fresh_renders():
     voice = synth.SynthVoiceSpec((1.0, 0.5), 2.0)
     same = synth.SynthVoiceSpec((1, 0.5), 2)  # equal by value to voice, another object
     other = synth.SynthVoiceSpec((1.0, 0.1), 2.0)  # same decay, other harmonics
-    tempo = kern.TempoMark("sixty", 60.0)
+    tempo = 60.0
     a4 = 440.0
     tones = {}
     # (document, voices, samples of the cached A4 of voice after rendering it)
