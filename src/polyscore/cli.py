@@ -459,7 +459,7 @@ def cmd_transcribe(checkpoint_path, wav_path) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool, oracle: bool) -> int:
+def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool) -> int:
     """Per-sample and corpus word/symbol error rates for one split."""
     vocab, model_config, params = _load_model(checkpoint_path)
     manifest_path = Path(manifest_path)
@@ -472,10 +472,7 @@ def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool, orac
     for sample in requested:
         try:
             target = _read_tokens(base / sample.tokens, vocab)
-            if oracle:
-                hyp = target
-            else:
-                (hyp,) = _decode(params, model_config, [_features(base / sample.audio)], vocab)
+            (hyp,) = _decode(params, model_config, [_features(base / sample.audio)], vocab)
             w = metrics.wer(target, hyp)
             c = metrics.cer(target, hyp)
         except (DataError, OSError) as exc:
@@ -545,7 +542,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--oracle", action="store_true", help="score references against themselves")
     return parser
 
 
@@ -571,7 +567,7 @@ def main(argv=None) -> int:
         if args.command == "transcribe":
             return cmd_transcribe(args.checkpoint, args.wav)
         if args.command == "evaluate":
-            return cmd_evaluate(args.checkpoint, args.manifest, args.split, args.json, args.oracle)
+            return cmd_evaluate(args.checkpoint, args.manifest, args.split, args.json)
     except ConfigError as exc:
         _diag(f"polyscore: config error: {exc}")
         return EXIT_USAGE

@@ -98,7 +98,7 @@ class UnsupportedNotation(KernError):
 
 
 class NoBarlines(KernError):
-    """Fragmentation requested on a document without any barline."""
+    """Fragmentation requested on a document without any barline, or without any note or rest."""
 
 
 class UnknownTempoLabel(KernError):
@@ -207,8 +207,8 @@ def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     )
 
 
-def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[str, ...]]:
-    """Parse one cell into the event it reduces to and the tie marks of all its notes.
+def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[tuple[str, bool], ...]]:
+    """Parse one cell into the event it reduces to and, per note, its tie mark and whether it is kept.
 
     A chord reduces to its lowest note, and a grace note to a continuation.
     """
@@ -221,8 +221,9 @@ def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[s
     if len(events) > 1 and any(e.kind != "note" for e in events):
         raise UnknownToken(f"chord {token!r} may only contain notes", line, column)
     lowest = min(range(len(events)), key=lambda i: events[i].midi) if len(events) > 1 else 0
-    grace = "q" in parts[lowest] or "Q" in parts[lowest]
-    return (CONTINUATION if grace else events[lowest]), tuple(e.tie for e in events)
+    if "q" in parts[lowest] or "Q" in parts[lowest]:  # a grace note
+        return CONTINUATION, tuple((e.tie, False) for e in events)
+    return events[lowest], tuple((e.tie, i == lowest) for i, e in enumerate(events))
 
 
 def _apply_manipulators(groups: list[int], cells: list[str], line: int) -> list[int]:
@@ -267,10 +268,14 @@ def parse_kern(text: str) -> KernDocument:
         dropped after their spine splits and merges are applied. Each data
         row keeps one event per base spine: the leftmost subspine of a split,
         the lowest note of a chord, a continuation for a grace note. Rows
-        left with only continuations are dropped. A kept tie close is
-        dropped unless a kept note of its spine holds an open tie, as when
-        the tie opened on a grace note, a chord's upper note or a right-hand
-        subspine; so every kept close has its open.
+        left with only continuations are dropped. A tie keeps its marks
+        only while both its notes are kept: a kept close is dropped unless
+        a kept note of its spine holds an open tie (the tie opened on a
+        grace note, a chord's upper note or a right-hand subspine), and a
+        kept open is dropped when its close lands on a note that is not
+        kept and no open on such a note is left to take it. So every kept
+        close has its open, and a kept open stays unclosed only where the
+        source leaves a tie open.
 
     Raises
     ------
@@ -290,9 +295,10 @@ def parse_kern(text: str) -> KernDocument:
     groups: list[int] = []
     rows: list[Row] = []
     tempo_text: str | None = None
-    # per base spine: ties open on any note, and ties open on a kept note
+    # per base spine: ties open on any note, and the rows of those open on a kept note
     open_ties: list[int] = []
-    kept_ties: list[int] = []
+    kept_opens: list[list[int]] = []
+    severed: list[tuple[int, int]] = []  # (row, spine) of kept opens closed on a dropped note
     started = False
     for lineno, raw in enumerate(lines, start=1):
         if raw == "":
@@ -315,7 +321,7 @@ def parse_kern(text: str) -> KernDocument:
                 raise TooManyVoices(f"{spine_count} spines exceed the {MAX_VOICES}-voice limit")
             groups = [1] * spine_count
             open_ties = [0] * spine_count
-            kept_ties = [0] * spine_count
+            kept_opens = [[] for _ in range(spine_count)]
             started = True
             continue
 
@@ -352,23 +358,27 @@ def parse_kern(text: str) -> KernDocument:
         for base, count in enumerate(groups):
             for offset, c in enumerate(cells[pos : pos + count]):
                 col = pos + offset + 1
-                ev, ties = _parse_cell(c, lineno, col)
-                for tie in ties:
-                    if tie == "close":
+                ev, marks = _parse_cell(c, lineno, col)
+                stack = kept_opens[base]
+                for tie, kept_note in marks:
+                    kept_note = kept_note and not offset  # only the leftmost subspine survives a split
+                    if tie == "open":
+                        open_ties[base] += 1
+                        if kept_note:
+                            stack.append(len(rows))
+                    elif tie == "close":
                         if not open_ties[base]:
                             raise InvalidTie("tie close without a matching open", lineno, col)
                         open_ties[base] -= 1
-                    elif tie == "open":
-                        open_ties[base] += 1
-                if offset:  # only the leftmost subspine survives a split
+                        if kept_note:
+                            if stack:
+                                stack.pop()
+                            else:  # its open was on a note that is not kept
+                                ev = dataclasses.replace(ev, tie="none")
+                        elif open_ties[base] < len(stack):  # no open on a dropped note is left to take it
+                            severed.append((stack.pop(), base))
+                if offset:
                     continue
-                if ev.tie == "open":
-                    kept_ties[base] += 1
-                elif ev.tie == "close":
-                    if kept_ties[base]:
-                        kept_ties[base] -= 1
-                    else:  # its open was on a note that is not kept
-                        ev = dataclasses.replace(ev, tie="none")
                 if ev.dots > 1 or abs(ev.accidental) > 1:
                     raise UnsupportedNotation(
                         "double dots/sharps/flats are outside the supported subset", lineno
@@ -380,6 +390,7 @@ def parse_kern(text: str) -> KernDocument:
 
     if not started:
         raise MalformedSpine("document has no **kern header row")
+    _drop_ties(rows, severed)
     return KernDocument(spine_count=spine_count, rows=tuple(rows), tempo_text=tempo_text)
 
 
@@ -421,27 +432,24 @@ def _sever_boundary_ties(rows: list[Row]) -> list[Row]:
                     drops.add((ri, si))
     for stack in per_spine_open.values():
         drops.update(stack)
-    if not drops:
-        return rows
-    out = []
-    for ri, row in enumerate(rows):
-        if row.kind != "data":
-            out.append(row)
-            continue
-        cells = tuple(
-            dataclasses.replace(ev, tie="none") if (ri, si) in drops else ev
-            for si, ev in enumerate(row.cells)
-        )
-        out.append(Row(kind="data", cells=cells))
-    return out
+    _drop_ties(rows, drops)
+    return rows
+
+
+def _drop_ties(rows: list[Row], cells) -> None:
+    """Remove the tie marks of the given (row, spine) cells, in place."""
+    for ri, si in cells:
+        events = list(rows[ri].cells)
+        events[si] = dataclasses.replace(events[si], tie="none")
+        rows[ri] = Row(kind="data", cells=tuple(events))
 
 
 def fragment(
     doc: KernDocument,
     rng_seed: int,
-    min_measures: int = 3,
-    max_measures: int = 6,
-    allow_overlap: bool = False,
+    min_measures: int,
+    max_measures: int,
+    allow_overlap: bool,
 ) -> list[KernDocument]:
     """Cut a document into fragments of whole measures.
 
@@ -455,6 +463,8 @@ def fragment(
     measures = _measure_slices(doc.rows)
     if doc.barline_count() == 0:
         raise NoBarlines("document has no barlines to fragment on")
+    if not measures:
+        raise NoBarlines("document has no notes or rests to fragment")
     total = len(measures)
     rng = np.random.default_rng(rng_seed)
     spans: list[tuple[int, int]] = []

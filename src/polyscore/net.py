@@ -38,6 +38,8 @@ from .atomic import atomic_open
 from .errors import DataError, ModelError
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # weight of a step's batch moments in the running statistics
+SGD_MOMENTUM = 0.9
 CONV_LAYERS = 2
 RECURRENT_LAYERS = 2
 CONV_FILTERS = 16
@@ -773,15 +775,15 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
     return grads
 
 
-def update_batchnorm_stats(params: dict[str, np.ndarray], moments: list[dict], momentum: float = 0.1) -> None:
+def update_batchnorm_stats(params: dict[str, np.ndarray], moments: list[dict]) -> None:
     """Blend the mean of the clips' activation moments into the running statistics."""
     for name in moments[0]:
         mean = np.stack([m[name][0] for m in moments]).mean(axis=0)
         var = np.stack([m[name][1] for m in moments]).mean(axis=0)
         rm = params[f"{name}_mean"]
         rv = params[f"{name}_var"]
-        params[f"{name}_mean"] = ((1 - momentum) * rm + momentum * mean).astype(rm.dtype)
-        params[f"{name}_var"] = ((1 - momentum) * rv + momentum * var).astype(rv.dtype)
+        params[f"{name}_mean"] = ((1 - BN_MOMENTUM) * rm + BN_MOMENTUM * mean).astype(rm.dtype)
+        params[f"{name}_var"] = ((1 - BN_MOMENTUM) * rv + BN_MOMENTUM * var).astype(rv.dtype)
 
 
 def sgd_nesterov_step(
@@ -789,9 +791,8 @@ def sgd_nesterov_step(
     grads: dict[str, np.ndarray],
     velocity: dict[str, np.ndarray],
     lr: float,
-    momentum: float = 0.9,
 ) -> None:
-    """In-place Nesterov momentum update.
+    """In-place Nesterov momentum update, with mu = ``SGD_MOMENTUM``.
 
     v <- mu * v + g;  p <- p - lr * (g + mu * v), both written into the
     existing arrays, so float32 training state stays float32 and
@@ -804,9 +805,9 @@ def sgd_nesterov_step(
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient for {name} is not finite")
         v = velocity[name]
-        v *= momentum
+        v *= SGD_MOMENTUM
         v += g
-        step = v * momentum
+        step = v * SGD_MOMENTUM
         step += g
         step *= lr
         params[name] -= step

@@ -25,24 +25,10 @@ from .kern import KernDocument, ScoreEvent
 PEAK_LEVEL = 0.9
 
 
-class VoiceCountMismatch(Exception):
-    """Number of voice specs differs from the document's spine count."""
-
-
 @dataclass(frozen=True)
 class SynthVoiceSpec:
-    harmonic_amplitudes: tuple[float, ...] = (1.0, 0.5, 0.25)
-    decay_seconds: float = 4.0
-
-    def __post_init__(self):
-        amps = tuple(float(a) for a in self.harmonic_amplitudes)
-        object.__setattr__(self, "harmonic_amplitudes", amps)
-        if len(amps) < 1:
-            raise ValueError("need at least one harmonic")
-        if any(a < 0 for a in amps) or any(a > amps[0] for a in amps[1:]):
-            raise ValueError("fundamental must be the largest non-negative amplitude")
-        if self.decay_seconds <= 0:
-            raise ValueError("decay must be positive")
+    harmonic_amplitudes: tuple[float, ...]
+    decay_seconds: float
 
 
 # Small palette with distinct harmonic profiles, one per voice position.
@@ -121,12 +107,13 @@ def _note_wave(voice: SynthVoiceSpec, freq: float, stop: int, start: int = 0) ->
     return tone * envelope
 
 
-def render(doc: KernDocument, quarter_bpm: float, voices=None, tones=None) -> np.ndarray:
+def render(doc: KernDocument, quarter_bpm: float, tones=None) -> np.ndarray:
     """Render a parsed document to mono samples at 22050 Hz.
 
-    The tempo is ``quarter_bpm`` quarter notes per minute. One voice spec
-    per spine; tied notes sound as a single attack spanning their combined
-    duration. The mix is peak-normalized to 0.9 (silence stays silent).
+    The tempo is ``quarter_bpm`` quarter notes per minute. Spine ``i`` sounds
+    with ``voices_for(doc.spine_count)[i]``; tied notes sound as a single
+    attack spanning their combined duration. The mix is peak-normalized to
+    0.9 (silence stays silent).
 
     ``tones`` is the note cache: a dict from (voice spec, frequency) to the
     longest waveform synthesized so far for that pair. A note reads the first
@@ -135,18 +122,12 @@ def render(doc: KernDocument, quarter_bpm: float, voices=None, tones=None) -> np
     share their notes; the output is the same as with a fresh dict, which is
     the default.
     """
-    if voices is None:
-        voices = voices_for(doc.spine_count)
-    if len(voices) != doc.spine_count:
-        raise VoiceCountMismatch(
-            f"{len(voices)} voice specs for {doc.spine_count} spines"
-        )
     if tones is None:
         tones = {}
     total = max((_spine_seconds(doc, s, quarter_bpm) for s in range(doc.spine_count)), default=0.0)
     n = int(round(total * SAMPLE_RATE))
     mix = np.zeros(n, dtype=np.float64)
-    for spine, voice in enumerate(voices):
+    for spine, voice in enumerate(voices_for(doc.spine_count)):
         for start, dur, freq in _spine_notes(doc, spine, quarter_bpm):
             s0 = int(round(start * SAMPLE_RATE))
             s1 = min(int(round((start + dur) * SAMPLE_RATE)), n)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -51,6 +52,34 @@ FIXTURE_SOURCES: dict[str, str] = {
 def fixture_documents() -> dict[str, kern.KernDocument]:
     """Parsed versions of every fixture source."""
     return {name: kern.parse_kern(text) for name, text in FIXTURE_SOURCES.items()}
+
+
+# what a mutation puts before, after or in place of a cell: tie, fermata and
+# grace marks, chord notes, continuations, rests, records and odd tokens
+_KERN_PIECES = (
+    "[", "]", ";", "q", " 4g", " [4e", " 4c]", " 2BB-", ".", "4r", "[4c", "4c]", "8cq", "2.d",
+    "*^", "*v", "*", "*-", "=", "!x", "4..c", "#", "-", "_", "\t4c", "",
+)
+
+
+@st.composite
+def mutated_fixture_texts(draw):
+    """A ``conftest.FIXTURE_SOURCES`` entry with one to three cells or lines edited."""
+    lines = FIXTURE_SOURCES[draw(st.sampled_from(sorted(FIXTURE_SOURCES)))].split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["before", "after", "replace", "copy_line", "drop_line"]))
+        if op == "copy_line":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "drop_line" and len(lines) > 1:
+            del lines[i]
+        elif op != "drop_line":
+            cells = lines[i].split("\t")
+            j = draw(st.integers(0, len(cells) - 1))
+            piece = draw(st.sampled_from(_KERN_PIECES))
+            cells[j] = {"before": piece + cells[j], "after": cells[j] + piece, "replace": piece}[op]
+            lines[i] = "\t".join(cells)
+    return "\n".join(lines)
 
 
 @pytest.fixture(scope="session")

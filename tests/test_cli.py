@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from _toycorpus import make_corpus, make_score
+from conftest import FIXTURE_SOURCES, mutated_fixture_texts
 from polyscore import cli, codec, dsp, net
 
 
@@ -454,23 +455,6 @@ def test_train_resume_from_bad_header_exits_data_error(tiny_dataset, tmp_path, c
     assert cli.main([*train, "--checkpoint", str(bad)]) == cli.EXIT_DATA
 
 
-def test_evaluate_oracle_mode_zero_rates(tiny_dataset, capsys):
-    rc = cli.main(
-        [
-            "evaluate",
-            "--checkpoint", str(tiny_dataset["checkpoint_dir"] / "best.ckpt"),
-            "--manifest", str(tiny_dataset["manifest"]),
-            "--split", "train",
-            "--json", "--oracle",
-        ]
-    )
-    assert rc == cli.EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["summary"]["wer"] == 0.0
-    assert report["summary"]["cer"] == 0.0
-    assert report["summary"]["samples"] > 0
-
-
 def test_evaluate_empty_split_fails(tiny_dataset):
     rc = cli.main(
         [
@@ -484,19 +468,24 @@ def test_evaluate_empty_split_fails(tiny_dataset):
 
 
 def test_evaluate_text_report_format(tiny_dataset, capsys):
-    rc = cli.main(
-        [
-            "evaluate",
-            "--checkpoint", str(tiny_dataset["checkpoint_dir"] / "best.ckpt"),
-            "--manifest", str(tiny_dataset["manifest"]),
-            "--split", "train",
-            "--oracle",
-        ]
-    )
+    evaluate = [
+        "evaluate",
+        "--checkpoint", str(tiny_dataset["checkpoint_dir"] / "best.ckpt"),
+        "--manifest", str(tiny_dataset["manifest"]),
+        "--split", "train",
+    ]
+    rc = cli.main(evaluate)
     assert rc == cli.EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[-1].startswith("summary split train")
     assert all(" wer " in line and " cer " in line for line in lines[:-1])
+    # the JSON report holds the same samples and summary
+    assert cli.main([*evaluate, "--json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [r["id"] for r in report["samples"]] == [line.split()[0] for line in lines[:-1]]
+    summary = report["summary"]
+    rates = f"wer {summary['wer']:.4f} cer {summary['cer']:.4f}"
+    assert lines[-1] == f"summary split train samples {summary['samples']} {rates}"
 
 
 def test_train_vocab_hash_mismatch_rejected(tiny_dataset, tmp_path):
@@ -702,7 +691,7 @@ def test_evaluate_skips_sample_with_malformed_tokens(tiny_dataset, tmp_path, cap
             "evaluate",
             "--checkpoint", str(tiny_dataset["checkpoint_dir"] / "best.ckpt"),
             "--manifest", str(data / "manifest.jsonl"),
-            "--split", "train", "--oracle",
+            "--split", "train",
         ]
     )
     captured = capsys.readouterr()
@@ -879,6 +868,38 @@ def test_fuzzed_config_stays_inside_exit_codes(tiny_dataset, text):
     assert "Traceback" not in stderr.getvalue()
 
 
+# mutated fixture sources, mixed with intact ones so that the mutants that
+# parse also meet fragment, encode and render beside material that builds
+_FUZZED_CORPUS_TEXT = st.one_of(mutated_fixture_texts(), st.sampled_from(sorted(FIXTURE_SOURCES.values())))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(20261019)
+@given(texts=st.lists(_FUZZED_CORPUS_TEXT, min_size=1, max_size=4))
+@example(texts=[FIXTURE_SOURCES["two_measures"], "**kern\n=\n*-\n"])  # a barline and no note
+def test_fuzzed_corpus_stays_inside_exit_codes(texts):
+    # build exits 0, or 2 where nothing is left to build, and raises nothing;
+    # a corpus file that gives no sample gets a skip line naming it or its
+    # fragments, and no file or fragment is named twice
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus").mkdir()
+        stems = [f"s{i}" for i in range(len(texts))]
+        for stem, text in zip(stems, texts):
+            (root / "corpus" / f"{stem}.krn").write_text(text, encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["build", "--config", str(_write_config(root, min_measures=1, max_measures=2))])
+        assert rc in (cli.EXIT_OK, cli.EXIT_DATA), texts
+        lines = [line for line in stderr.getvalue().splitlines() if line.startswith("build: skipping ")]
+        skipped = [line.split(": ")[1].removeprefix("skipping ") for line in lines]
+        assert len(skipped) == len(set(skipped)), stderr.getvalue()
+        if rc == cli.EXIT_OK:
+            built = [s.id for s in cli.read_manifest(root / "data" / cli.MANIFEST_FILENAME)]
+            named = {name.removesuffix(".krn").rsplit("_f", 1)[0] for name in skipped + built}
+            assert named == set(stems), (texts, stderr.getvalue())
+
+
 def _drop_field(raw: bytes, pick: int, jsonl: bool) -> bytes:
     """Drop one line of a text file or, from a JSON-lines file, one field of one record."""
     lines = raw.splitlines(keepends=True)
@@ -931,6 +952,6 @@ def test_damaged_dataset_files_stay_inside_exit_codes(tiny_dataset, target, drop
         shutil.copy(data / cli.VOCAB_FILENAME, ckpt / cli.VOCAB_FILENAME)
         manifest = str(data / cli.MANIFEST_FILENAME)
         train = ["train", "--config", str(_write_config(root, epochs=0, checkpoint_dir="out")), "--manifest", manifest]
-        evaluate = ["evaluate", "--checkpoint", str(ckpt / "best.ckpt"), "--manifest", manifest, "--split", "train", "--oracle"]
+        evaluate = ["evaluate", "--checkpoint", str(ckpt / "best.ckpt"), "--manifest", manifest, "--split", "train"]
         for argv in (train, evaluate):
             assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_MODEL)

@@ -3,11 +3,11 @@ import inspect
 import pkgutil
 
 import polyscore
-from polyscore import errors, net, synth
+from polyscore import errors, net
 
 BASES = (errors.ConfigError, errors.DataError, errors.ModelError)
-# programming errors inside the package; no input can raise them
-INTERNAL = {net.StaleCache, synth.VoiceCountMismatch}
+# a programming error inside the package; no input can raise it
+INTERNAL = {net.StaleCache}
 
 
 def _package_exceptions():

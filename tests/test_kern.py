@@ -110,8 +110,10 @@ def test_tie_opened_on_grace_note_drops_both_marks():
         ("**kern\n*^\n4c\t[4g\n*v\t*v\n4g]\n*-\n", ["none", "none"]),  # on a right-hand subspine
         ("**kern\n[8cq\n8c]\n4d\n*-\n", ["none", "none"]),  # on a grace note
         ("**kern\n[4c [4g\n4c] 4g]\n*-\n", ["open", "close"]),  # tied chords keep the kept note's tie
+        ("**kern\n[4g\n4c 4g]\n4d\n*-\n", ["none", "none", "none"]),  # closed on a chord's upper note
+        ("**kern\n[4g\n*^\n4c\t4g]\n*v\t*v\n4d\n*-\n", ["none", "none", "none"]),  # on a right-hand subspine
     ],
-    ids=["chord", "split", "grace", "tied_chords"],
+    ids=["chord", "split", "grace", "tied_chords", "closed_on_chord", "closed_on_split"],
 )
 def test_tie_opened_on_a_dropped_note_drops_its_close(text, ties):
     doc = kern.parse_kern(text)
@@ -169,7 +171,7 @@ def test_preprocess_drops_grace_notes():
 def test_fragment_partition_validity():
     text = "**kern\n" + "4c\n4d\n=\n" * 12 + "*-\n"
     doc = kern.parse_kern(text)
-    frags = kern.fragment(doc, rng_seed=3, min_measures=3, max_measures=6)
+    frags = kern.fragment(doc, rng_seed=3, min_measures=3, max_measures=6, allow_overlap=False)
     sizes = [f.barline_count() for f in frags]
     assert sum(sizes) == 12
     assert all(3 <= s <= 6 for s in sizes[:-1])
@@ -180,7 +182,7 @@ def test_fragment_partition_validity():
 
 def test_fragment_short_document_single_fragment():
     doc = kern.parse_kern("**kern\n4c\n=\n4d\n=\n*-\n")
-    frags = kern.fragment(doc, rng_seed=0)
+    frags = kern.fragment(doc, rng_seed=0, min_measures=3, max_measures=6, allow_overlap=False)
     assert len(frags) == 1
     assert frags[0].barline_count() == 2
 
@@ -188,15 +190,15 @@ def test_fragment_short_document_single_fragment():
 def test_fragment_deterministic():
     text = "**kern\n" + "4c\n=\n" * 10 + "*-\n"
     doc = kern.parse_kern(text)
-    a = kern.fragment(doc, rng_seed=17)
-    b = kern.fragment(doc, rng_seed=17)
+    a = kern.fragment(doc, rng_seed=17, min_measures=3, max_measures=6, allow_overlap=False)
+    b = kern.fragment(doc, rng_seed=17, min_measures=3, max_measures=6, allow_overlap=False)
     assert a == b
 
 
 def test_fragment_no_overlap_disjoint_and_ordered():
     text = "**kern\n" + "".join(f"4{p}\n=\n" for p in "cdefgabc" * 3) + "*-\n"
     doc = kern.parse_kern(text)
-    frags = kern.fragment(doc, rng_seed=2, min_measures=3, max_measures=6)
+    frags = kern.fragment(doc, rng_seed=2, min_measures=3, max_measures=6, allow_overlap=False)
     seen = []
     for f in frags:
         first = _data_rows(f)[0].cells[0]
@@ -214,15 +216,17 @@ def test_fragment_overlap_covers_and_shares():
 
 
 def test_fragment_requires_barlines():
-    doc = kern.parse_kern("**kern\n4c\n4d\n*-\n")
-    with pytest.raises(kern.NoBarlines):
-        kern.fragment(doc, rng_seed=0)
+    # and a note or rest: barlines alone would give no fragment, and no reason
+    for text in ("**kern\n4c\n4d\n*-\n", "**kern\n=\n*-\n"):
+        doc = kern.parse_kern(text)
+        with pytest.raises(kern.NoBarlines):
+            kern.fragment(doc, rng_seed=0, min_measures=3, max_measures=6, allow_overlap=False)
 
 
 def test_fragment_severs_boundary_ties():
     text = "**kern\n2c\n[2d\n=\n2d]\n2e\n=\n2f\n2g\n=\n2a\n2b\n=\n*-\n"
     doc = kern.parse_kern(text)
-    frags = kern.fragment(doc, rng_seed=0, min_measures=1, max_measures=1)
+    frags = kern.fragment(doc, rng_seed=0, min_measures=1, max_measures=1, allow_overlap=False)
     assert len(frags) == 4
     for f in frags:
         for row in _data_rows(f):
@@ -235,7 +239,7 @@ def test_fragment_severs_boundary_ties():
 def test_fragment_keeps_internal_ties():
     text = "**kern\n[2c\n2c]\n=\n2d\n2e\n=\n*-\n"
     doc = kern.parse_kern(text)
-    frags = kern.fragment(doc, rng_seed=0, min_measures=2, max_measures=2)
+    frags = kern.fragment(doc, rng_seed=0, min_measures=2, max_measures=2, allow_overlap=False)
     ties = [r.cells[0].tie for r in _data_rows(frags[0])]
     assert ties[:2] == ["open", "close"]
 

@@ -187,9 +187,9 @@ def test_sgd_two_step_closed_form():
     params[name][:] = 1.0
     velocity = net.zero_velocity(params)
     g = np.full_like(params[name], 0.5)
-    lr, mu = 0.1, 0.9
-    net.sgd_nesterov_step(params, {name: g}, velocity, lr, mu)
-    net.sgd_nesterov_step(params, {name: g}, velocity, lr, mu)
+    lr, mu = 0.1, net.SGD_MOMENTUM
+    net.sgd_nesterov_step(params, {name: g}, velocity, lr)
+    net.sgd_nesterov_step(params, {name: g}, velocity, lr)
     expected = 1.0 - lr * 0.5 * (2 + 2 * mu + mu * mu)
     assert np.allclose(params[name], expected, atol=1e-12)
 
@@ -198,12 +198,12 @@ def test_sgd_two_step_closed_form():
 def test_in_place_updates_match_out_of_place_formulas(dtype):
     rng = np.random.default_rng(12)
     p, v, g = (rng.normal(size=(7, 5)).astype(dtype) for _ in range(3))
-    lr, mu = 3e-4 / 1.1**7, 0.9
+    lr, mu = 3e-4 / 1.1**7, net.SGD_MOMENTUM
     v_new = (mu * v + g).astype(dtype)
     p_new = (p - lr * (g + mu * v_new)).astype(dtype)
     params = {"w": p.copy()}
     velocity = {"w": v.copy()}
-    net.sgd_nesterov_step(params, {"w": g}, velocity, lr, mu)
+    net.sgd_nesterov_step(params, {"w": g}, velocity, lr)
     assert np.array_equal(velocity["w"], v_new)
     assert np.array_equal(params["w"], p_new)
 
