@@ -14,11 +14,24 @@ matrix; a block covers only the grid bins under its 48 log bins, a fifth of
 the multiply-adds in all. Dropping the zero terms can move the float64 sums
 in their last bits, well inside the 1e-12 the tests hold the frontend to
 against a zero-padded FFT.
+
+A clip is computed in chunks of 64 frames. When it has more than one chunk
+and the process may run on two or more CPUs, the chunks run on two lanes: the
+calling thread and one helper thread, started on first use, each taking the
+next chunk when it finishes one. NumPy's FFTs, ``abs`` and matrix products
+release the interpreter lock, so the lanes overlap. A lane runs a chunk's
+FFTs in two halves of 32 frames and its aggregation products on all 64, the
+same products on either lane, so the result does not depend on the lanes:
+it is bitwise the same with one lane or two.
 """
 from __future__ import annotations
 
 import functools
+import os
+import threading
 import wave
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +50,9 @@ FFT_SIZE = 32768  # DFT grid spacing SAMPLE_RATE / FFT_SIZE resolves adjacent lo
 # Circular convolution length of the band transform: the smallest 5-smooth
 # length >= WINDOW_SIZE + (k_hi - k_lo) - 1 = 5062, so the convolution does not wrap.
 _CHIRP_SIZE = 5120
+# Frames per chunk. The aggregation GEMMs' bits depend on the chunk height, so
+# the chunk boundaries stay at multiples of 64 whichever lane runs a chunk.
+_CHUNK = 64
 
 
 class UnsupportedFormat(DataError):
@@ -181,8 +197,9 @@ def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
     return pre, np.fft.fft(chirp)
 
 
-def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """DFT magnitudes of Hamming-windowed frames at grid bins ``k_lo..k_hi-1``.
+def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the DFT magnitudes of Hamming-windowed frames at grid bins
+    ``k_lo..k_hi-1`` into ``out``, a ``(len(frames), k_hi - k_lo)`` float array.
 
     ``scratch`` is a complex ``(len(frames), _CHIRP_SIZE)`` array that is
     overwritten.
@@ -194,7 +211,59 @@ def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.fft.fft(scratch, axis=1, out=scratch)
     scratch *= chirp_spectrum
     np.fft.ifft(scratch, axis=1, out=scratch)
-    return np.abs(scratch[:, : k_hi - k_lo])
+    np.abs(scratch[:, : k_hi - k_lo], out=out)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _helper_lane() -> ThreadPoolExecutor:
+    """The one helper thread, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="polyscore-stft")
+        return _helper
+
+
+def _run_lane(
+    frames: np.ndarray,
+    out: np.ndarray,
+    starts: Iterator[int],
+    lock: threading.Lock,
+    scratch: np.ndarray,
+    band: np.ndarray,
+) -> None:
+    """Take chunk starts from ``starts`` until it is empty and fill their rows of ``out``.
+
+    A chunk's FFTs run through the half-height complex ``scratch`` in two
+    halves, into ``band``; its aggregation GEMMs and ``log1p`` run on the
+    whole chunk.
+    """
+    blocks = _octave_blocks()
+    half = len(scratch)
+    while True:
+        with lock:
+            start = next(starts, None)
+        if start is None:
+            return
+        stop = min(start + _CHUNK, len(frames))
+        for first in range(start, stop, half):
+            last = min(first + half, stop)
+            _band_magnitudes(frames[first:last], scratch[: last - first], band[first - start : last - start])
+        rows_out = out[start:stop]
+        for rows, cols, block in blocks:
+            np.matmul(band[: stop - start, rows], block, out=rows_out[:, cols])
+        np.log1p(rows_out, out=rows_out)
 
 
 def stft_logfreq(samples: np.ndarray) -> Spectrogram:
@@ -207,13 +276,26 @@ def stft_logfreq(samples: np.ndarray) -> Spectrogram:
     width = frame_count(samples.size)
     frames = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_SIZE)[::HOP_SIZE]
     frames = frames[:width]
-    blocks = _octave_blocks()
+    # fill the caches before a second thread reads them: functools.cache is
+    # not filled safely from two threads
+    k_lo, k_hi, _ = _log_mapping()
+    _octave_blocks()
+    _band_chirps()
+    lanes = 2 if width > _CHUNK and _cpu_count() >= 2 else 1
+    # both lanes' arrays come from the calling thread's allocator
     out = np.empty((width, N_BINS), dtype=np.float64)
-    chunk = 64  # bound the (chunk, _CHIRP_SIZE) complex scratch
-    scratch = np.empty((min(chunk, width), _CHIRP_SIZE), dtype=np.complex128)
-    for start in range(0, width, chunk):
-        stop = min(start + chunk, width)
-        band = _band_magnitudes(frames[start:stop], scratch[: stop - start])
-        for rows, cols, block in blocks:
-            np.matmul(band[:, rows], block, out=out[start:stop, cols])
-    return Spectrogram(frames=np.log1p(out))
+    scratch = np.empty((lanes, min(width, _CHUNK // 2), _CHIRP_SIZE), dtype=np.complex128)
+    bands = np.empty((lanes, min(width, _CHUNK), k_hi - k_lo), dtype=np.float64)
+    lane = functools.partial(_run_lane, frames, out, iter(range(0, width, _CHUNK)), threading.Lock())
+    if lanes == 1:
+        lane(scratch[0], bands[0])
+    else:
+        helper = _helper_lane().submit(lane, scratch[1], bands[1])
+        try:
+            lane(scratch[0], bands[0])
+        finally:
+            # a task still queued behind another caller's is cancelled, not
+            # waited for; with no task submitting another, callers cannot deadlock
+            if not helper.cancel():
+                helper.result()
+    return Spectrogram(frames=out)

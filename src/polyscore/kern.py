@@ -282,7 +282,8 @@ def parse_kern(text: str) -> KernDocument:
     MalformedSpine
         Cell count of a row does not match the active spine count.
     UnknownToken
-        A cell is outside the supported subset.
+        A cell is outside the supported subset, or an exclusive
+        interpretation (``**``) follows the header row.
     InvalidTie
         A tie close appears in a spine with no open tie.
     TooManyVoices
@@ -326,6 +327,8 @@ def parse_kern(text: str) -> KernDocument:
             continue
 
         active = sum(groups)
+        if any(c.startswith("**") for c in cells):
+            raise UnknownToken("exclusive interpretation after the header row", lineno)
         if all(c.startswith("*") for c in cells):
             if len(cells) != active:
                 raise MalformedSpine(

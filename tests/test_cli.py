@@ -167,6 +167,16 @@ def test_build_continues_past_bad_files(tmp_path, capsys):
     assert "broken.krn" in err
 
 
+def test_build_skips_score_with_repeated_header(tmp_path, capsys):
+    make_corpus(tmp_path / "corpus", n_scores=3, seed=2, two_voice_every=0)
+    (tmp_path / "corpus" / "twice.krn").write_text("**kern\n**kern\n4c\n=\n*-\n")
+    config = cli.RunConfig.from_file(_write_config(tmp_path))
+    config.validate()
+    assert cli.cmd_build(config) == 0
+    err = capsys.readouterr().err
+    assert "build: skipping twice.krn: exclusive interpretation after the header row (line 2)" in err
+
+
 def test_build_all_bad_files_exits_nonzero(tmp_path):
     (tmp_path / "corpus").mkdir()
     (tmp_path / "corpus" / "one.krn").write_text("**kern\nnonsense\n*-\n")

@@ -1,3 +1,5 @@
+import sys
+import threading
 import wave
 
 import numpy as np
@@ -177,7 +179,9 @@ def test_band_transform_against_direct_dft():
     k_lo, k_hi, _ = dsp._log_mapping()
     x = np.random.default_rng(3).normal(size=dsp.WINDOW_SIZE)
     scratch = np.empty((1, dsp._CHIRP_SIZE), dtype=np.complex128)
-    band = dsp._band_magnitudes(x[None, :], scratch)[0]
+    band = np.empty((1, k_hi - k_lo))
+    dsp._band_magnitudes(x[None, :], scratch, band)
+    band = band[0]
     assert band.shape == (k_hi - k_lo,)
     y = x * np.hamming(dsp.WINDOW_SIZE)
     n = np.arange(dsp.WINDOW_SIZE)
@@ -213,3 +217,71 @@ def test_octave_blocks_reassemble_dense_weights():
     assert [cols for _, cols, _ in blocks] == [
         slice(first, first + dsp.BINS_PER_OCTAVE) for first in range(0, dsp.N_BINS, dsp.BINS_PER_OCTAVE)
     ]
+
+
+def _clip(width, seed):
+    n = dsp.WINDOW_SIZE + (width - 1) * dsp.HOP_SIZE + 100  # a partial hop at the end
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, size=n)
+
+
+def _record_lanes(monkeypatch, lanes):
+    """Allow the helper lane; each lane waits inside its first chunk until ``lanes`` lanes hold one.
+
+    So with two lanes both take part, however the threads are scheduled.
+    Returns the set of threads that computed a chunk.
+    """
+    barrier = threading.Barrier(lanes, timeout=10)
+    threads = set()
+    real = dsp._band_magnitudes
+
+    def band_magnitudes(*args):
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            barrier.wait()
+        real(*args)
+
+    monkeypatch.setattr(dsp, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "_band_magnitudes", band_magnitudes)
+    return threads
+
+
+@pytest.mark.parametrize("width, lanes", [(64, 1), (65, 2), (129, 2), (651, 2)])
+def test_lanes_give_the_bits_of_one_lane(width, lanes, monkeypatch):
+    # a single chunk runs on the calling thread alone; 65 and 129 frames end
+    # in a one-frame chunk, 651 in an 11-frame one
+    x = _clip(width, width)
+    monkeypatch.setattr(dsp, "_cpu_count", lambda: 1)
+    one_lane = dsp.stft_logfreq(x).frames
+    threads = _record_lanes(monkeypatch, lanes)
+    with_helper = dsp.stft_logfreq(x).frames
+    assert len(threads) == lanes
+    assert with_helper.shape == (width, dsp.N_BINS)
+    assert with_helper.tobytes() == one_lane.tobytes()
+
+
+def test_concurrent_callers_get_the_bits_of_a_lone_call(monkeypatch):
+    # three callers share the one helper thread, so a caller's helper task can
+    # queue behind another's; every caller returns with a lone call's bits
+    monkeypatch.setattr(dsp, "_cpu_count", lambda: 2)
+    clips = [_clip(width, seed) for seed, width in enumerate((300, 129, 451))]
+    alone = [dsp.stft_logfreq(x).frames.tobytes() for x in clips]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            start = threading.Barrier(len(clips), timeout=10)
+            results = [None] * len(clips)
+
+            def call(i):
+                start.wait()
+                results[i] = dsp.stft_logfreq(clips[i]).frames.tobytes()
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(clips))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == alone
+    finally:
+        sys.setswitchinterval(interval)

@@ -68,6 +68,20 @@ def test_parse_rejects_unknown_tokens():
             kern.parse_kern(f"**kern\n{cell}\n*-\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("**kern\n**kern\n4c\n=\n*-\n", 2),  # a repeated header line
+        ("**kern\t**kern\n4c\t4e\n*\t**kern\n*-\t*-\n", 3),  # one spine's cell only
+        ("**kern\n4c\n**kern\n*-\n", 3),
+    ],
+)
+def test_parse_rejects_exclusive_interpretation_after_header(text, line):
+    with pytest.raises(kern.UnknownToken) as info:
+        kern.parse_kern(text)
+    assert info.value.line == line
+
+
 def test_parse_strips_ornaments_and_beams():
     doc = kern.parse_kern("**kern\n8cLt'\n8dJ\n*-\n")
     events = [r.cells[0] for r in doc.rows]
