@@ -15,14 +15,19 @@ the multiply-adds in all. Dropping the zero terms can move the float64 sums
 in their last bits, well inside the 1e-12 the tests hold the frontend to
 against a zero-padded FFT.
 
-A clip is computed in chunks of 64 frames. When it has more than one chunk
-and the process may run on two or more CPUs, the chunks run on two lanes: the
-calling thread and one helper thread, started on first use, each taking the
-next chunk when it finishes one. NumPy's FFTs, ``abs`` and matrix products
-release the interpreter lock, so the lanes overlap. A lane runs a chunk's
-FFTs in two halves of 32 frames and its aggregation products on all 64, the
-same products on either lane, so the result does not depend on the lanes:
-it is bitwise the same with one lane or two.
+A clip is computed in chunks of 64 frames. When it has more than one chunk,
+the process may run on two or more CPUs and OpenBLAS runs one thread, the
+chunks run on two lanes: the calling thread and one helper thread, started on
+first use, each taking the next chunk when it finishes one. NumPy's FFTs,
+``abs`` and matrix products release the interpreter lock, so the lanes
+overlap. Beside a BLAS pool of two or more threads, whose idle workers spin,
+the helper would compete with them and slow the clip down, so it stays off.
+The complex FFT scratch holds 64 frames in all: one lane runs a chunk's FFTs
+at once, each of two lanes in two halves of 32 frames. FFTs and magnitudes
+are computed row by row, so their bits do not depend on that height. Every
+lane runs the aggregation products on the whole 64-frame chunk, the same
+products on either lane, so the result does not depend on the lanes: it is
+bitwise the same with one lane or two.
 """
 from __future__ import annotations
 
@@ -31,13 +36,16 @@ import os
 import threading
 import wave
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .atomic import atomic_open
 from .errors import DataError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 SAMPLE_RATE = 22050
 WINDOW_SIZE = 2048
@@ -222,6 +230,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _blas_threads() -> int:
+    """Threads in OpenBLAS's pool, read from the environment as OpenBLAS reads
+    it at load: the first positive ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, else every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(threads, _cpu_count())
+    return _cpu_count()
+
+
+def _lane_count() -> int:
+    """Lanes a clip of more than one chunk runs on: two when the process may
+    run on two or more CPUs and OpenBLAS runs one thread, else one."""
+    return 2 if _cpu_count() >= 2 and _blas_threads() == 1 else 1
+
+
 _helper: ThreadPoolExecutor | None = None
 _helper_lock = threading.Lock()
 
@@ -229,6 +257,8 @@ _helper_lock = threading.Lock()
 def _helper_lane() -> ThreadPoolExecutor:
     """The one helper thread, started on first use."""
     global _helper
+    from concurrent.futures import ThreadPoolExecutor  # only processes that use the helper load it
+
     with _helper_lock:
         if _helper is None:
             _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="polyscore-stft")
@@ -245,20 +275,20 @@ def _run_lane(
 ) -> None:
     """Take chunk starts from ``starts`` until it is empty and fill their rows of ``out``.
 
-    A chunk's FFTs run through the half-height complex ``scratch`` in two
-    halves, into ``band``; its aggregation GEMMs and ``log1p`` run on the
+    A chunk's FFTs run through the complex ``scratch`` in slices of its
+    height, into ``band``; its aggregation GEMMs and ``log1p`` run on the
     whole chunk.
     """
     blocks = _octave_blocks()
-    half = len(scratch)
+    height = len(scratch)
     while True:
         with lock:
             start = next(starts, None)
         if start is None:
             return
         stop = min(start + _CHUNK, len(frames))
-        for first in range(start, stop, half):
-            last = min(first + half, stop)
+        for first in range(start, stop, height):
+            last = min(first + height, stop)
             _band_magnitudes(frames[first:last], scratch[: last - first], band[first - start : last - start])
         rows_out = out[start:stop]
         for rows, cols, block in blocks:
@@ -281,10 +311,11 @@ def stft_logfreq(samples: np.ndarray) -> Spectrogram:
     k_lo, k_hi, _ = _log_mapping()
     _octave_blocks()
     _band_chirps()
-    lanes = 2 if width > _CHUNK and _cpu_count() >= 2 else 1
-    # both lanes' arrays come from the calling thread's allocator
+    lanes = _lane_count() if width > _CHUNK else 1
+    # both lanes' arrays come from the calling thread's allocator; the lanes
+    # split one chunk's height of complex scratch
     out = np.empty((width, N_BINS), dtype=np.float64)
-    scratch = np.empty((lanes, min(width, _CHUNK // 2), _CHIRP_SIZE), dtype=np.complex128)
+    scratch = np.empty((lanes, min(width, _CHUNK // lanes), _CHIRP_SIZE), dtype=np.complex128)
     bands = np.empty((lanes, min(width, _CHUNK), k_hi - k_lo), dtype=np.float64)
     lane = functools.partial(_run_lane, frames, out, iter(range(0, width, _CHUNK)), threading.Lock())
     if lanes == 1:

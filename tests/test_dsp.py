@@ -240,7 +240,7 @@ def _record_lanes(monkeypatch, lanes):
             barrier.wait()
         real(*args)
 
-    monkeypatch.setattr(dsp, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
     monkeypatch.setattr(dsp, "_band_magnitudes", band_magnitudes)
     return threads
 
@@ -250,7 +250,7 @@ def test_lanes_give_the_bits_of_one_lane(width, lanes, monkeypatch):
     # a single chunk runs on the calling thread alone; 65 and 129 frames end
     # in a one-frame chunk, 651 in an 11-frame one
     x = _clip(width, width)
-    monkeypatch.setattr(dsp, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(dsp, "_lane_count", lambda: 1)
     one_lane = dsp.stft_logfreq(x).frames
     threads = _record_lanes(monkeypatch, lanes)
     with_helper = dsp.stft_logfreq(x).frames
@@ -259,10 +259,35 @@ def test_lanes_give_the_bits_of_one_lane(width, lanes, monkeypatch):
     assert with_helper.tobytes() == one_lane.tobytes()
 
 
+@pytest.mark.parametrize(
+    "cpus, env, lanes",
+    [
+        (2, {}, 1),  # an unpinned pool takes every CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ],
+)
+def test_helper_lane_only_beside_a_one_thread_blas_pool(cpus, env, lanes, monkeypatch):
+    # OpenBLAS's idle workers spin, so the helper lane runs only where the
+    # pool, sized as OpenBLAS sizes it from the environment, is one thread
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(dsp, "_cpu_count", lambda: cpus)
+    assert dsp._lane_count() == lanes
+
+
 def test_concurrent_callers_get_the_bits_of_a_lone_call(monkeypatch):
     # three callers share the one helper thread, so a caller's helper task can
     # queue behind another's; every caller returns with a lone call's bits
-    monkeypatch.setattr(dsp, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
     clips = [_clip(width, seed) for seed, width in enumerate((300, 129, 451))]
     alone = [dsp.stft_logfreq(x).frames.tobytes() for x in clips]
     interval = sys.getswitchinterval()
