@@ -17,17 +17,17 @@ against a zero-padded FFT.
 
 A clip is computed in chunks of 64 frames. When it has more than one chunk,
 the process may run on two or more CPUs and OpenBLAS runs one thread, the
-chunks run on two lanes: the calling thread and one helper thread, started on
-first use, each taking the next chunk when it finishes one. NumPy's FFTs,
-``abs`` and matrix products release the interpreter lock, so the lanes
-overlap. Beside a BLAS pool of two or more threads, whose idle workers spin,
-the helper would compete with them and slow the clip down, so it stays off.
-The complex FFT scratch holds 64 frames in all: one lane runs a chunk's FFTs
-at once, each of two lanes in two halves of 32 frames. FFTs and magnitudes
-are computed row by row, so their bits do not depend on that height. Every
-lane runs the aggregation products on the whole 64-frame chunk, the same
-products on either lane, so the result does not depend on the lanes: it is
-bitwise the same with one lane or two.
+chunks run on two lanes: the calling thread and a helper thread that the call
+starts and joins before it returns, each taking the next chunk when it
+finishes one. NumPy's FFTs, ``abs`` and matrix products release the
+interpreter lock, so the lanes overlap. Beside a BLAS pool of two or more
+threads, whose idle workers spin, the helper would compete with them and slow
+the clip down, so it stays off. The complex FFT scratch holds 64 frames in
+all: one lane runs a chunk's FFTs at once, each of two lanes in two halves of
+32 frames. FFTs and magnitudes are computed row by row, so their bits do not
+depend on that height. Every lane runs the aggregation products on the whole
+64-frame chunk, the same products on either lane, so the result does not
+depend on the lanes: it is bitwise the same with one lane or two.
 """
 from __future__ import annotations
 
@@ -37,15 +37,11 @@ import threading
 import wave
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .atomic import atomic_open
 from .errors import DataError
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 SAMPLE_RATE = 22050
 WINDOW_SIZE = 2048
@@ -230,39 +226,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """Threads in OpenBLAS's pool, read from the environment as OpenBLAS reads
-    it at load: the first positive ``OPENBLAS_NUM_THREADS``,
-    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, else every CPU."""
+def _lane_count() -> int:
+    """Lanes a clip of more than one chunk runs on: two when the process may
+    run on two or more CPUs and OpenBLAS runs one thread, else one.
+
+    OpenBLAS sizes its pool at load from the first positive
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and
+    with none of them from every CPU.
+    """
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(var, ""))
         except ValueError:
             continue
         if threads > 0:
-            return min(threads, _cpu_count())
-    return _cpu_count()
-
-
-def _lane_count() -> int:
-    """Lanes a clip of more than one chunk runs on: two when the process may
-    run on two or more CPUs and OpenBLAS runs one thread, else one."""
-    return 2 if _cpu_count() >= 2 and _blas_threads() == 1 else 1
-
-
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _helper_lane() -> ThreadPoolExecutor:
-    """The one helper thread, started on first use."""
-    global _helper
-    from concurrent.futures import ThreadPoolExecutor  # only processes that use the helper load it
-
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="polyscore-stft")
-        return _helper
+            return 2 if threads == 1 and _cpu_count() >= 2 else 1
+    return 1
 
 
 def _run_lane(
@@ -321,12 +300,10 @@ def stft_logfreq(samples: np.ndarray) -> Spectrogram:
     if lanes == 1:
         lane(scratch[0], bands[0])
     else:
-        helper = _helper_lane().submit(lane, scratch[1], bands[1])
-        try:
+        from concurrent.futures import ThreadPoolExecutor  # only a two-lane call loads it
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="polyscore-stft") as helper:
+            task = helper.submit(lane, scratch[1], bands[1])
             lane(scratch[0], bands[0])
-        finally:
-            # a task still queued behind another caller's is cancelled, not
-            # waited for; with no task submitting another, callers cannot deadlock
-            if not helper.cancel():
-                helper.result()
+            task.result()
     return Spectrogram(frames=out)

@@ -88,8 +88,8 @@ class ModelConfig:
             raise ValueError("vocab_size must be at least 2")
         if type(self.frame_doubling) is not bool:
             raise ValueError("frame_doubling must be true or false")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
+        if type(self.dropout_p) not in (int, float) or not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
 
     def conv_feature_dims(self) -> list[int]:
         dims = [self.input_bins]

@@ -415,6 +415,7 @@ def _edit_header(path, **changes):
         "hidden_units_float",
         "conv_freq_stride",
         "conv_layers",
+        "dropout_p_bool",
         "nan_value",
     ],
 )
@@ -442,6 +443,8 @@ def test_transcribe_malformed_checkpoint_exits_data_error(tiny_dataset, tmp_path
     if damage == "conv_layers":
         # the layer counts are constants, not configuration fields
         _edit_header(bad, config={"conv_layers": 2})
+    if damage == "dropout_p_bool":
+        _edit_header(bad, config={"dropout_p": False})
     shutil.copy(ckpt_dir / cli.VOCAB_FILENAME, tmp_path / cli.VOCAB_FILENAME)
     wav = tiny_dataset["manifest"].parent / cli.read_manifest(tiny_dataset["manifest"])[0].audio
     assert cli.main(["transcribe", str(wav), "--checkpoint", str(bad)]) == cli.EXIT_DATA
@@ -560,6 +563,7 @@ def test_train_invalid_model_config_is_usage_error(tiny_dataset, tmp_path, monke
         {"conv_layers": 2},  # the layer counts are constants, not fields
         {"recurrent_layers": 2},
         {"frame_doubling": 1},
+        {"dropout_p": False},  # a boolean is not a probability
         {"conv_kernel": 3},  # a field of version 1 configurations
         {"input_bins": 120},  # the spectrogram has 240 bins
         # tensors past NumPy's largest dimension, and tensors of petabytes:

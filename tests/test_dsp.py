@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,8 +288,8 @@ def test_helper_lane_only_beside_a_one_thread_blas_pool(cpus, env, lanes, monkey
 
 
 def test_concurrent_callers_get_the_bits_of_a_lone_call(monkeypatch):
-    # three callers share the one helper thread, so a caller's helper task can
-    # queue behind another's; every caller returns with a lone call's bits
+    # three callers run at once, each on its own two lanes; every caller
+    # returns with a lone call's bits
     monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
     clips = [_clip(width, seed) for seed, width in enumerate((300, 129, 451))]
     alone = [dsp.stft_logfreq(x).frames.tobytes() for x in clips]
@@ -310,3 +313,50 @@ def test_concurrent_callers_get_the_bits_of_a_lone_call(monkeypatch):
             assert results == alone
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", [None, "helper", "caller"])
+def test_two_lanes_join_their_helper_and_raise_its_error(failing, monkeypatch):
+    # each lane waits inside its first chunk until the other holds one, then
+    # the failing lane raises; its error reaches the caller, and no helper
+    # thread outlives the call, however it returns
+    barrier = threading.Barrier(2, timeout=10)
+    lanes = set()
+    caller = threading.current_thread()
+    real = dsp._band_magnitudes
+
+    def band_magnitudes(*args):
+        lane = threading.current_thread()
+        if lane not in lanes:
+            lanes.add(lane)
+            barrier.wait()
+            if failing == ("caller" if lane is caller else "helper"):
+                raise RuntimeError(f"{failing} lane failed")
+        real(*args)
+
+    monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
+    monkeypatch.setattr(dsp, "_band_magnitudes", band_magnitudes)
+    x = _clip(651, 5)
+    if failing is None:
+        assert dsp.stft_logfreq(x).frames.shape == (651, dsp.N_BINS)
+    else:
+        with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
+            dsp.stft_logfreq(x)
+    assert len(lanes) == 2
+    assert not [t for t in threading.enumerate() if t.name.startswith("polyscore-stft")]
+
+
+def test_one_lane_process_does_not_load_concurrent_futures():
+    # the helper's executor is imported only by a two-lane call, so a process
+    # that runs the CLI's imports and a one-chunk spectrogram does without it
+    code = (
+        "import sys, numpy as np, polyscore.cli; from polyscore import dsp; "
+        "dsp.stft_logfreq(np.zeros(dsp.WINDOW_SIZE + 63 * dsp.HOP_SIZE)); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    src = str(Path(dsp.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -335,6 +335,8 @@ def test_model_config_validation():
     for field in (
         {"vocab_size": 1},
         {"dropout_p": 1.0},
+        {"dropout_p": False},  # a boolean is not a probability
+        {"dropout_p": "0.1"},
         {"hidden_units": 0},
         {"hidden_units": 8.5},
         {"input_bins": True},
