@@ -110,15 +110,17 @@ def _is_number(value) -> bool:
         return False
 
 
+def _digest(parts) -> bytes:
+    return hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
+
+
 def _substream(*parts) -> np.random.Generator:
-    digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
-    entropy = np.frombuffer(digest[:16], dtype=np.uint32).tolist()
+    entropy = np.frombuffer(_digest(parts)[:16], dtype=np.uint32).tolist()
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _subseed(*parts) -> int:
-    digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return int.from_bytes(_digest(parts)[:8], "little")
 
 
 def _diag(message: str) -> None:
@@ -159,7 +161,7 @@ def read_manifest(path) -> list[Sample]:
 
 
 def _write_tokens(path, seq: codec.TokenSequence) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for t in seq.tokens:
             fh.write(f"{t}\n")
 

@@ -242,23 +242,21 @@ def decode(seq: TokenSequence) -> KernDocument:
     Raises :class:`ScoreSyntaxError` when the sequence is not a well-formed
     score, carrying the failing token position. Well-formed means that
     :func:`kern.parse_kern` reads the serialized document back unchanged: at
-    most four spines, no row of only continuations, and no tie close in a
-    spine without an open tie.
+    most four spines, no row of only continuations, and every tie close
+    paired with an open tie of the same pitch (MIDI number) in its spine.
     """
     vocab = seq.vocab
-    tokens = seq.tokens
+    kinds = [vocab.kind_of(t) for t in seq.tokens] + ["end"]  # the sentinel sits at position len(tokens)
     rows: list[Row] = []
     spine_count: int | None = None
-    open_ties: Counter[int] = Counter()  # by spine
+    open_ties: Counter[tuple[int, int]] = Counter()  # by (spine, midi)
 
     i = 0
-    n = len(tokens)
-    while i < n:
+    while kinds[i] != "end":
         row_start = i
-        kind = vocab.kind_of(tokens[i])
-        if kind == "barline":
+        if kinds[i] == "barline":
             i += 1
-            if i >= n or vocab.kind_of(tokens[i]) != "newline":
+            if kinds[i] != "newline":
                 raise ScoreSyntaxError("barline must be followed by a newline", i)
             i += 1
             rows.append(Row(kind="barline"))
@@ -266,70 +264,65 @@ def decode(seq: TokenSequence) -> KernDocument:
         cells: list[ScoreEvent] = []
         while True:
             cell_start = i
-            if i >= n:
-                raise ScoreSyntaxError("sequence ended inside a row", n)
-            kind = vocab.kind_of(tokens[i])
+            kind = kinds[i]
+            if kind == "end":
+                raise ScoreSyntaxError("sequence ended inside a row", i)
             if kind in ("tab", "newline"):
-                raise ScoreSyntaxError("row with empty cells", cell_start)
+                raise ScoreSyntaxError("row with empty cells", i)
             if kind == "dot":
-                ev = CONTINUATION
+                cells.append(CONTINUATION)
                 i += 1
             else:
                 tie_open = kind == "tie_open"
                 if tie_open:
                     i += 1
-                    if i >= n:
-                        raise ScoreSyntaxError("sequence ended after a tie open", n)
-                    kind = vocab.kind_of(tokens[i])
+                    kind = kinds[i]
+                    if kind == "end":
+                        raise ScoreSyntaxError("sequence ended after a tie open", i)
                 if kind != "duration":
                     raise ScoreSyntaxError(f"expected a duration symbol, found {kind}", i)
-                duration, dots = vocab.payload_of(tokens[i])
+                duration, dots = vocab.payload_of(seq.tokens[i])
                 i += 1
-                is_note = i < n and vocab.kind_of(tokens[i]) == "pitch"
-                if is_note:
-                    step, accidental, octave = vocab.payload_of(tokens[i])
+                step, accidental, octave = None, 0, None
+                tie, tie_at = "none", i
+                if kinds[i] == "pitch":
+                    step, accidental, octave = vocab.payload_of(seq.tokens[i])
                     i += 1
-                    tie_close = i < n and vocab.kind_of(tokens[i]) == "tie_close"
-                    if tie_open and tie_close:
-                        raise ScoreSyntaxError("note both opens and closes a tie", cell_start)
-                    if tie_close:
-                        if not open_ties[len(cells)]:
-                            raise ScoreSyntaxError("tie close without a matching open", i)
-                        open_ties[len(cells)] -= 1
+                    if kinds[i] == "tie_close":
+                        if tie_open:
+                            raise ScoreSyntaxError("note both opens and closes a tie", cell_start)
+                        tie, tie_at = "close", i
                         i += 1
                     elif tie_open:
-                        open_ties[len(cells)] += 1
-                    fermata = i < n and vocab.kind_of(tokens[i]) == "fermata"
-                    if fermata:
-                        i += 1
-                    ev = ScoreEvent(
-                        kind="note",
-                        duration=duration,
-                        dots=dots,
-                        step=step,
-                        accidental=accidental,
-                        octave=octave,
-                        tie="open" if tie_open else ("close" if tie_close else "none"),
-                        fermata=fermata,
-                    )
-                else:
-                    if tie_open:
-                        raise ScoreSyntaxError("tie open on a rest", cell_start)
-                    fermata = i < n and vocab.kind_of(tokens[i]) == "fermata"
-                    if fermata:
-                        i += 1
-                    ev = ScoreEvent(kind="rest", duration=duration, dots=dots, fermata=fermata)
-            cells.append(ev)
-            if i >= n:
-                raise ScoreSyntaxError("truncated row without a final newline", n)
-            kind = vocab.kind_of(tokens[i])
-            if kind == "tab":
-                i += 1
-                continue
+                        tie = "open"
+                elif tie_open:
+                    raise ScoreSyntaxError("tie open on a rest", cell_start)
+                fermata = kinds[i] == "fermata"
+                i += fermata
+                ev = ScoreEvent(
+                    kind="rest" if step is None else "note",
+                    duration=duration,
+                    dots=dots,
+                    step=step,
+                    accidental=accidental,
+                    octave=octave,
+                    tie=tie,
+                    fermata=fermata,
+                )
+                if tie != "none":
+                    key = (len(cells), ev.midi)
+                    if tie == "close" and not open_ties[key]:
+                        raise ScoreSyntaxError("tie close without a matching open", tie_at)
+                    open_ties[key] += 1 if tie == "open" else -1
+                cells.append(ev)
+            kind = kinds[i]
+            if kind == "end":
+                raise ScoreSyntaxError("truncated row without a final newline", i)
+            if kind not in ("tab", "newline"):
+                raise ScoreSyntaxError(f"unexpected {kind} symbol inside a row", i)
+            i += 1
             if kind == "newline":
-                i += 1
                 break
-            raise ScoreSyntaxError(f"unexpected {kind} symbol inside a row", i)
         if spine_count is None:
             if len(cells) > MAX_VOICES:
                 message = f"row has {len(cells)} cells, more than {MAX_VOICES} voices"

@@ -86,7 +86,7 @@ class UnknownToken(KernError):
 
 
 class InvalidTie(KernError):
-    """A tie close appears in a spine with no tie open."""
+    """A tie close appears in a spine with no tie open on its pitch."""
 
 
 class TooManyVoices(KernError):
@@ -207,10 +207,12 @@ def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     )
 
 
-def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[tuple[str, bool], ...]]:
-    """Parse one cell into the event it reduces to and, per note, its tie mark and whether it is kept.
+def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[tuple[str, int, bool], ...]]:
+    """Parse one cell into the event it reduces to and its tie marks.
 
-    A chord reduces to its lowest note, and a grace note to a continuation.
+    Each mark is (``"open"`` or ``"close"``, its note's MIDI number, whether
+    that note is kept). A chord reduces to its lowest note, and a grace note
+    to a continuation.
     """
     if token == ".":
         return CONTINUATION, ()
@@ -221,9 +223,9 @@ def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[t
     if len(events) > 1 and any(e.kind != "note" for e in events):
         raise UnknownToken(f"chord {token!r} may only contain notes", line, column)
     lowest = min(range(len(events)), key=lambda i: events[i].midi) if len(events) > 1 else 0
-    if "q" in parts[lowest] or "Q" in parts[lowest]:  # a grace note
-        return CONTINUATION, tuple((e.tie, False) for e in events)
-    return events[lowest], tuple((e.tie, i == lowest) for i, e in enumerate(events))
+    grace = "q" in parts[lowest] or "Q" in parts[lowest]
+    marks = tuple((e.tie, e.midi, i == lowest and not grace) for i, e in enumerate(events) if e.tie != "none")
+    return (CONTINUATION if grace else events[lowest]), marks
 
 
 def _apply_manipulators(groups: list[int], cells: list[str], line: int) -> list[int]:
@@ -253,8 +255,10 @@ def _apply_manipulators(groups: list[int], cells: list[str], line: int) -> list[
 def parse_kern(text: str) -> KernDocument:
     """Parse a **kern document into its encodable form, one row at a time.
 
-    Every cell is parsed and every tie mark counted, in all subspines and
-    chord notes, so the first defect in file order is the one raised.
+    Every cell is parsed and every tie mark paired, in all subspines and
+    chord notes, so the first defect in file order is the one raised. A tie
+    close pairs with the latest open of the same pitch (MIDI number) in its
+    base spine.
 
     Parameters
     ----------
@@ -269,13 +273,11 @@ def parse_kern(text: str) -> KernDocument:
         row keeps one event per base spine: the leftmost subspine of a split,
         the lowest note of a chord, a continuation for a grace note. Rows
         left with only continuations are dropped. A tie keeps its marks
-        only while both its notes are kept: a kept close is dropped unless
-        a kept note of its spine holds an open tie (the tie opened on a
-        grace note, a chord's upper note or a right-hand subspine), and a
-        kept open is dropped when its close lands on a note that is not
-        kept and no open on such a note is left to take it. So every kept
-        close has its open, and a kept open stays unclosed only where the
-        source leaves a tie open.
+        only while both its notes are kept: a tie opened on a note that is
+        not kept (a grace note, a chord's upper note or a right-hand
+        subspine) loses its close, and one closed on such a note loses its
+        open. So every kept close has its open, and a kept open stays
+        unclosed only where the source leaves a tie open.
 
     Raises
     ------
@@ -285,7 +287,7 @@ def parse_kern(text: str) -> KernDocument:
         A cell is outside the supported subset, or an exclusive
         interpretation (``**``) follows the header row.
     InvalidTie
-        A tie close appears in a spine with no open tie.
+        A tie close has no open tie of its pitch in its spine.
     TooManyVoices
         The header row has more than four spines.
     UnsupportedNotation
@@ -296,9 +298,8 @@ def parse_kern(text: str) -> KernDocument:
     groups: list[int] = []
     rows: list[Row] = []
     tempo_text: str | None = None
-    # per base spine: ties open on any note, and the rows of those open on a kept note
-    open_ties: list[int] = []
-    kept_opens: list[list[int]] = []
+    # per (base spine, midi): the row of each open tie, None where its note is not kept
+    ties: dict[tuple[int, int], list[int | None]] = {}
     severed: list[tuple[int, int]] = []  # (row, spine) of kept opens closed on a dropped note
     started = False
     for lineno, raw in enumerate(lines, start=1):
@@ -321,8 +322,6 @@ def parse_kern(text: str) -> KernDocument:
             if spine_count > MAX_VOICES:
                 raise TooManyVoices(f"{spine_count} spines exceed the {MAX_VOICES}-voice limit")
             groups = [1] * spine_count
-            open_ties = [0] * spine_count
-            kept_opens = [[] for _ in range(spine_count)]
             started = True
             continue
 
@@ -362,31 +361,25 @@ def parse_kern(text: str) -> KernDocument:
             for offset, c in enumerate(cells[pos : pos + count]):
                 col = pos + offset + 1
                 ev, marks = _parse_cell(c, lineno, col)
-                stack = kept_opens[base]
-                for tie, kept_note in marks:
-                    kept_note = kept_note and not offset  # only the leftmost subspine survives a split
-                    if tie == "open":
-                        open_ties[base] += 1
-                        if kept_note:
-                            stack.append(len(rows))
-                    elif tie == "close":
-                        if not open_ties[base]:
-                            raise InvalidTie("tie close without a matching open", lineno, col)
-                        open_ties[base] -= 1
-                        if kept_note:
-                            if stack:
-                                stack.pop()
-                            else:  # its open was on a note that is not kept
-                                ev = dataclasses.replace(ev, tie="none")
-                        elif open_ties[base] < len(stack):  # no open on a dropped note is left to take it
-                            severed.append((stack.pop(), base))
-                if offset:
-                    continue
-                if ev.dots > 1 or abs(ev.accidental) > 1:
+                if not offset and (ev.dots > 1 or abs(ev.accidental) > 1):
                     raise UnsupportedNotation(
                         "double dots/sharps/flats are outside the supported subset", lineno
                     )
-                kept.append(ev)
+                for tie, midi, kept_note in marks:
+                    kept_note = kept_note and not offset  # only the leftmost subspine survives a split
+                    opens = ties.setdefault((base, midi), [])
+                    if tie == "open":
+                        opens.append(len(rows) if kept_note else None)
+                    elif not opens:
+                        raise InvalidTie("tie close without a matching open", lineno, col)
+                    else:
+                        row = opens.pop()
+                        if kept_note and row is None:
+                            ev = dataclasses.replace(ev, tie="none")
+                        elif not kept_note and row is not None:
+                            severed.append((row, base))
+                if not offset:
+                    kept.append(ev)
             pos += count
         if any(ev.kind != "continuation" for ev in kept):
             rows.append(Row(kind="data", cells=tuple(kept)))
@@ -419,21 +412,20 @@ def _measure_slices(rows: tuple[Row, ...]) -> list[list[Row]]:
 
 def _sever_boundary_ties(rows: list[Row]) -> list[Row]:
     """Drop tie opens/closes whose partner lies outside the given rows."""
-    per_spine_open: dict[int, list[tuple[int, int]]] = {}
+    opens: dict[tuple[int, int], list[tuple[int, int]]] = {}  # by (spine, midi)
     drops: set[tuple[int, int]] = set()
     for ri, row in enumerate(rows):
-        if row.kind != "data":
-            continue
         for si, ev in enumerate(row.cells):
+            if ev.tie == "none":
+                continue
+            stack = opens.setdefault((si, ev.midi), [])
             if ev.tie == "open":
-                per_spine_open.setdefault(si, []).append((ri, si))
-            elif ev.tie == "close":
-                stack = per_spine_open.get(si)
-                if stack:
-                    stack.pop()
-                else:
-                    drops.add((ri, si))
-    for stack in per_spine_open.values():
+                stack.append((ri, si))
+            elif stack:
+                stack.pop()
+            else:
+                drops.add((ri, si))
+    for stack in opens.values():
         drops.update(stack)
     _drop_ties(rows, drops)
     return rows

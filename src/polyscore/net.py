@@ -898,8 +898,9 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
             epoch, best_wer = header["epoch"], header["best_wer"]
             if type(epoch) is not int or epoch < 0:
                 raise CheckpointError(f"epoch must be a non-negative integer, got {epoch!r}")
-            if best_wer is not None and type(best_wer) not in (int, float):
-                raise CheckpointError(f"best_wer must be a number or null, got {best_wer!r}")
+            # a NaN best_wer would never be beaten, so a resumed run would never write best.ckpt
+            if best_wer is not None and (type(best_wer) not in (int, float) or not 0 <= best_wer < math.inf):
+                raise CheckpointError(f"best_wer must be a finite number >= 0 or null, got {best_wer!r}")
             shapes = param_shapes(config)
             velocity_shapes = {n: shapes[n] for n in trainable(shapes)}
             counts = [sum(math.prod(shape) for shape in s.values()) for s in (shapes, velocity_shapes)]

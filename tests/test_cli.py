@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ def test_interrupted_manifest_write_keeps_previous_file(tiny_dataset, tmp_path, 
         cli.write_manifest(path, samples)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.jsonl"]
+
+
+def test_interrupted_token_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "a.tok"
+    cli._write_tokens(path, SimpleNamespace(tokens=(5, 6, 7)))
+    before = path.read_bytes()
+
+    def failing_tokens():
+        yield from (8, 9)
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._write_tokens(path, SimpleNamespace(tokens=failing_tokens()))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.tok"]
 
 
 def test_build_no_score_spans_two_splits(tiny_dataset):
@@ -459,7 +475,17 @@ def _refuse_clip_loading(monkeypatch):
     monkeypatch.setattr(cli, "_load_split", load_split)
 
 
-@pytest.mark.parametrize("change", [{"epoch": "0"}, {"epoch": -1}, {"best_wer": "x"}, {"best_wer": True}])
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"epoch": "0"},
+        {"epoch": -1},
+        {"best_wer": "x"},
+        {"best_wer": True},
+        {"best_wer": float("nan")},
+        {"best_wer": float("inf")},
+    ],
+)
 def test_train_resume_from_bad_header_exits_data_error(tiny_dataset, tmp_path, change):
     bad = tmp_path / "bad.ckpt"
     shutil.copy(tiny_dataset["checkpoint_dir"] / "best.ckpt", bad)

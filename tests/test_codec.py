@@ -179,10 +179,12 @@ def test_decode_rejects_mismatched_row_widths():
         (["[", "4", "C4", "\t", "4", "\n", "4", "\t", "4", "C4", "]", "\n"], "tie close without a matching open", 10),
         (["4", "C4", "\n", ".", "\n"], "row of only continuations", 3),
         (["4", "\t", "4", "\t", "4", "\t", "4", "\t", "4", "\n"], "row has 5 cells, more than 4 voices", 0),
+        # a tie opened on one pitch does not close on another
+        (["[", "4", "C4", "\n", "4", "D4", "]", "\n"], "tie close without a matching open", 6),
     ],
 )
 def test_decode_failure_messages_and_positions(symbols, message, position):
-    vocab = codec.Vocabulary(symbols=codec.STRUCTURAL_SYMBOLS + ("4", "C4"))
+    vocab = codec.Vocabulary(symbols=codec.STRUCTURAL_SYMBOLS + ("4", "C4", "D4"))
     seq = codec.TokenSequence(tokens=tuple(vocab.index_of(s) for s in symbols), vocab=vocab)
     with pytest.raises(codec.ScoreSyntaxError) as info:
         codec.decode(seq)

@@ -126,8 +126,10 @@ def test_tie_opened_on_grace_note_drops_both_marks():
         ("**kern\n[4c [4g\n4c] 4g]\n*-\n", ["open", "close"]),  # tied chords keep the kept note's tie
         ("**kern\n[4g\n4c 4g]\n4d\n*-\n", ["none", "none", "none"]),  # closed on a chord's upper note
         ("**kern\n[4g\n*^\n4c\t4g]\n*v\t*v\n4d\n*-\n", ["none", "none", "none"]),  # on a right-hand subspine
+        # the dropped [4g does not take the close of 4e]: ties pair by pitch
+        ("**kern\n[4e\n4c [4g 4e]\n4e\n*-\n", ["none", "none", "none"]),
     ],
-    ids=["chord", "split", "grace", "tied_chords", "closed_on_chord", "closed_on_split"],
+    ids=["chord", "split", "grace", "tied_chords", "closed_on_chord", "closed_on_split", "closed_by_pitch"],
 )
 def test_tie_opened_on_a_dropped_note_drops_its_close(text, ties):
     doc = kern.parse_kern(text)
@@ -135,6 +137,18 @@ def test_tie_opened_on_a_dropped_note_drops_its_close(text, ties):
     serialized = kern.serialize(doc)
     assert kern.parse_kern(serialized) == doc
     assert kern.serialize(kern.parse_kern(serialized)) == serialized
+
+
+def test_tie_close_pairs_with_an_open_of_its_pitch():
+    with pytest.raises(kern.InvalidTie) as info:
+        kern.parse_kern("**kern\n[4e\n4c]\n*-\n")
+    assert info.value.line == 3
+    # the pitch is the MIDI number, so an enharmonic spelling closes the tie
+    assert [r.cells[0].tie for r in kern.parse_kern("**kern\n[4B#\n4c]\n*-\n").rows] == ["open", "close"]
+    # interleaved ties in one spine: a fragment keeps the tie it holds whole
+    doc = kern.parse_kern("**kern\n[4c\n[4e\n=\n4c]\n=\n4e]\n=\n*-\n")
+    frags = kern.fragment(doc, rng_seed=0, min_measures=2, max_measures=2, allow_overlap=False)
+    assert [r.cells[0].tie for r in _data_rows(frags[0])] == ["open", "none", "close"]
 
 
 def test_parse_barline_in_every_spine():
