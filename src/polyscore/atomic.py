@@ -3,16 +3,19 @@ from __future__ import annotations
 
 import contextlib
 import os
+import secrets
 
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open ``<path>.tmp`` for writing and rename it over ``path`` on success.
+    """Open a temp file beside ``path`` for writing and rename it over ``path`` on success.
 
-    If the write fails, the temp file is removed and a previous file at
-    ``path`` is left as it was.
+    Each writer gets its own temp name, ``<path>.<12 random hex digits>.tmp``,
+    so two writers of one path never share a file: the last to rename wins. If the
+    write fails, the temp file is removed and a previous file at ``path`` is
+    left as it was.
     """
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(6)}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh

@@ -15,6 +15,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +35,12 @@ EXIT_MODEL = 3
 VOCAB_FILENAME = "vocab.txt"
 MANIFEST_FILENAME = "manifest.jsonl"
 LOG_FILENAME = "train_log.txt"
+FEATURES_DIRNAME = "features"
+# a cached features file's header: magic, format version, frame count, key,
+# payload SHA-256; 80 bytes, so the float32 payload after it stays aligned
+_FEATURES_HEADER = struct.Struct("<8sII32s32s")
+_FEATURES_MAGIC = b"PSFEAT\r\n"
+_FEATURES_VERSION = 1
 _INT64_MAX = 2**63 - 1  # the largest count a config may give: fragment sizes are drawn as int64
 
 
@@ -293,9 +301,60 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _features(wav_path) -> np.ndarray:
-    """A WAV file's (W, bins) spectrogram frames as float32, the dtype the network rounds them to."""
-    return dsp.stft_logfreq(dsp.load_wav(wav_path)).frames.astype(np.float32)
+def _features(wav_path, data: bytes | None = None) -> np.ndarray:
+    """A WAV file's (W, bins) spectrogram frames as float32, the dtype the network rounds them to.
+
+    ``data``, when given, is the file's bytes as the caller already read them.
+    """
+    return dsp.stft_logfreq(dsp.load_wav(wav_path, data)).frames.astype(np.float32)
+
+
+def _dataset_features(base: Path, sample: Sample) -> np.ndarray:
+    """A dataset clip's float32 features, read from its cache file when that file holds them.
+
+    The cache file is ``<base>/features/<id>.f32``: an 80-byte header (magic,
+    format version, frame count, key, payload SHA-256), then the features as
+    a little-endian float32 ``(frames, bins)`` payload. The key is the SHA-256
+    of ``dsp.FRONTEND_VERSION`` and the WAV file's bytes. A file whose key,
+    frame count, length or payload digest does not match, or that cannot be
+    read, is a miss: the features are computed as :func:`_features` does and
+    the file is written again. A failed write prints one stderr line and
+    changes nothing else. An id that cannot name a file in ``features/``
+    is not cached.
+    """
+    wav_path = base / sample.audio
+    data = wav_path.read_bytes()
+    if sample.id in ("", ".", "..") or Path(sample.id).name != sample.id or not sample.id.isprintable():
+        return _features(wav_path, data)
+    hasher = hashlib.sha256(f"polyscore frontend {dsp.FRONTEND_VERSION}\n".encode())
+    hasher.update(data)
+    key = hasher.digest()
+    path = base / FEATURES_DIRNAME / f"{sample.id}.f32"
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_FEATURES_HEADER.size)
+            if len(head) == _FEATURES_HEADER.size:
+                magic, version, frames, stored_key, digest = _FEATURES_HEADER.unpack(head)
+                valid = (magic, version, stored_key) == (_FEATURES_MAGIC, _FEATURES_VERSION, key) and frames > 0
+                if valid and os.fstat(fh.fileno()).st_size == len(head) + frames * dsp.N_BINS * 4:
+                    cached = np.empty((frames, dsp.N_BINS), dtype="<f4")
+                    if fh.readinto(cached) == cached.nbytes and hashlib.sha256(cached).digest() == digest:
+                        return cached
+    except OSError:
+        pass
+    features = _features(wav_path, data)
+    payload = features.astype("<f4", copy=False)
+    header = _FEATURES_HEADER.pack(
+        _FEATURES_MAGIC, _FEATURES_VERSION, len(payload), key, hashlib.sha256(payload).digest()
+    )
+    try:
+        path.parent.mkdir(exist_ok=True)
+        with atomic_open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+    except OSError as exc:
+        _diag(f"polyscore: cannot cache the features of {sample.id}: {exc}")
+    return features
 
 
 def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str, ...]):
@@ -305,7 +364,7 @@ def _load_split(manifest_path: Path, vocab: codec.Vocabulary, splits: tuple[str,
     for sample in read_manifest(manifest_path):
         if sample.split not in splits:
             continue
-        spec = _features(base / sample.audio)
+        spec = _dataset_features(base, sample)
         target = _read_tokens(base / sample.tokens, vocab)
         loaded[sample.split].append((sample.id, spec, target))
     return loaded
@@ -474,7 +533,7 @@ def cmd_evaluate(checkpoint_path, manifest_path, split: str, as_json: bool) -> i
     for sample in requested:
         try:
             target = _read_tokens(base / sample.tokens, vocab)
-            (hyp,) = _decode(params, model_config, [_features(base / sample.audio)], vocab)
+            (hyp,) = _decode(params, model_config, [_dataset_features(base, sample)], vocab)
             w = metrics.wer(target, hyp)
             c = metrics.cer(target, hyp)
         except (DataError, OSError) as exc:

@@ -32,6 +32,7 @@ depend on the lanes: it is bitwise the same with one lane or two.
 from __future__ import annotations
 
 import functools
+import io
 import os
 import threading
 import wave
@@ -57,6 +58,13 @@ _CHIRP_SIZE = 5120
 # Frames per chunk. The aggregation GEMMs' bits depend on the chunk height, so
 # the chunk boundaries stay at multiples of 64 whichever lane runs a chunk.
 _CHUNK = 64
+# Version of the features stft_logfreq computes. It is part of the key each
+# clip's cached float32 features are stored under (see cli), so a change that
+# moves their bits must bump it, and re-pin FRONTEND_SHA256: the SHA-256 of
+# the float32 features of the seeded 200-frame clip that tests/test_dsp.py
+# draws and checks against it.
+FRONTEND_VERSION = 1
+FRONTEND_SHA256 = "9c559da5607d056f5943ac8fcfd9070619a4261848aaa82d1eab3b8be0ae541e"
 
 
 class UnsupportedFormat(DataError):
@@ -88,15 +96,17 @@ def frame_count(n_samples: int) -> int:
     return (n_samples - WINDOW_SIZE) // HOP_SIZE + 1
 
 
-def load_wav(path) -> np.ndarray:
+def load_wav(path, data: bytes | None = None) -> np.ndarray:
     """Read a 16-bit PCM WAV file as float64 samples in [-1, 1).
 
     Stereo is downmixed by channel averaging. A path that is not a whole WAV
     file (truncated or malformed header, data ending inside a frame, a
     directory) raises UnsupportedFormat; a WAV with no frames raises TooShort.
+    ``data``, when given, is the file's bytes as the caller already read
+    them; they are parsed instead of the file, which ``path`` then only names.
     """
     try:
-        with wave.open(str(path), "rb") as wav:
+        with wave.open(str(path) if data is None else io.BytesIO(data), "rb") as wav:
             channels = wav.getnchannels()
             width = wav.getsampwidth()
             rate = wav.getframerate()
@@ -300,10 +310,20 @@ def stft_logfreq(samples: np.ndarray) -> Spectrogram:
     if lanes == 1:
         lane(scratch[0], bands[0])
     else:
-        from concurrent.futures import ThreadPoolExecutor  # only a two-lane call loads it
+        errors: list[BaseException] = []
 
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="polyscore-stft") as helper:
-            task = helper.submit(lane, scratch[1], bands[1])
+        def helper_lane() -> None:
+            try:
+                lane(scratch[1], bands[1])
+            except BaseException as exc:  # raised again on the calling thread
+                errors.append(exc)
+
+        helper = threading.Thread(target=helper_lane, name="polyscore-stft")
+        helper.start()
+        try:
             lane(scratch[0], bands[0])
-            task.result()
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
     return Spectrogram(frames=out)

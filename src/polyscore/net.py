@@ -843,8 +843,8 @@ def save_checkpoint(
     velocity of every trainable one, as little-endian float32; the header's
     model configuration fixes that layout. Tensors that do not match it raise
     :class:`CheckpointError` before anything is written. The file is written
-    as ``<name>.tmp`` and renamed over ``path``, so an interrupted save leaves
-    the previous checkpoint intact.
+    to a temp file of its own beside ``path`` and renamed over it, so an
+    interrupted save leaves the previous checkpoint intact.
     """
     shapes = param_shapes(config)
     names = trainable(shapes)

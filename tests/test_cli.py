@@ -287,7 +287,9 @@ def test_train_resume_matches_uninterrupted(tmp_path):
 def test_train_checkpoint_does_not_depend_on_blas_thread_count(tmp_path):
     # one epoch on the acceptance toy corpus and model, in two child
     # processes that differ only in OPENBLAS_NUM_THREADS: every weight
-    # gradient sums bounded products over one clip's frames in a fixed order
+    # gradient sums bounded products over one clip's frames in a fixed order.
+    # Each child trains on its own copy of the dataset, so each computes the
+    # features (at its thread count) rather than reading the other's cache
     make_corpus(tmp_path / "corpus", n_scores=7, seed=1, two_voice_every=7, n_measures=9)
     toy = {
         "seed": 11, "train_fraction": 0.8, "validation_fraction": 0.2, "test_fraction": 0.0,
@@ -296,10 +298,13 @@ def test_train_checkpoint_does_not_depend_on_blas_thread_count(tmp_path):
     }
     config = cli.RunConfig.from_file(_write_config(tmp_path, **toy))
     assert cli.cmd_build(config) == 0
-    manifest = Path(config.out_dir) / cli.MANIFEST_FILENAME
+    ids = sorted(s.id for s in cli.read_manifest(Path(config.out_dir) / cli.MANIFEST_FILENAME))
     src = str(Path(cli.__file__).parents[1])
     checkpoints = []
     for threads in ("1", "2"):
+        data = tmp_path / f"data{threads}"
+        shutil.copytree(config.out_dir, data)
+        manifest = data / cli.MANIFEST_FILENAME
         config_path = _write_config(tmp_path, checkpoint_dir=f"ckpt{threads}", **toy)
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -309,6 +314,7 @@ def test_train_checkpoint_does_not_depend_on_blas_thread_count(tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert run.returncode == 0, run.stderr
+        assert sorted(p.stem for p in (data / cli.FEATURES_DIRNAME).iterdir()) == ids
         checkpoints.append((tmp_path / f"ckpt{threads}" / "last.ckpt").read_bytes())
     assert checkpoints[0] == checkpoints[1]
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -360,3 +361,12 @@ def test_one_lane_process_does_not_load_concurrent_futures():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_frontend_bits_match_the_pinned_version():
+    # cached features are keyed by FRONTEND_VERSION; a change to the
+    # frontend's float32 bits that does not bump it (and re-pin) fails here
+    frames = dsp.stft_logfreq(_clip(200, 20261020)).frames
+    assert hashlib.sha256(frames.astype("<f4").tobytes()).hexdigest() == dsp.FRONTEND_SHA256, (
+        "the frontend's float32 features moved: bump dsp.FRONTEND_VERSION and re-pin dsp.FRONTEND_SHA256"
+    )
