@@ -158,7 +158,9 @@ def read_manifest(path) -> list[Sample]:
                 line = line.strip()
                 if line:
                     samples.append(Sample(**json.loads(line)))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
+    # ValueError covers JSONDecodeError and a number of more digits than
+    # int() converts, 4300 by default
+    except (OSError, UnicodeDecodeError, ValueError, TypeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     for s in samples:
         if not all(isinstance(v, str) for v in (s.id, s.audio, s.tokens, s.split)):
@@ -396,8 +398,13 @@ def _truncate_log(log_path: Path, epochs: int) -> None:
     kept = []
     for line in lines:
         words = line.split()
-        if len(words) > 1 and words[0] == "epoch" and words[1].isdigit() and int(words[1]) < epochs:
-            kept.append(line + "\n")
+        # isdigit() alone also passes digits such as "²" that int() refuses
+        if len(words) > 1 and words[0] == "epoch" and words[1].isascii() and words[1].isdigit():
+            try:
+                if int(words[1]) < epochs:
+                    kept.append(line + "\n")
+            except ValueError:  # more digits than int() converts, 4300 by default
+                pass
     with atomic_open(log_path, "w", encoding="utf-8", newline="\n") as log:
         log.writelines(kept)
 

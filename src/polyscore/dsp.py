@@ -13,13 +13,15 @@ aggregation multiplies by one dense block per octave instead of the whole
 matrix; a block covers only the grid bins under its 48 log bins, a fifth of
 the multiply-adds in all. Dropping the zero terms can move the float64 sums
 in their last bits, well inside the 1e-12 the tests hold the frontend to
-against a zero-padded FFT.
+against a zero-padded FFT. The blocks and the band transform's chirps are
+built by the first spectrogram a process computes and cached together.
 
 A clip is computed in chunks of 64 frames. When it has more than one chunk,
 the process may run on two or more CPUs and OpenBLAS runs one thread, the
 chunks run on two lanes: the calling thread and a helper thread that the call
-starts and joins before it returns, each taking the next chunk when it
-finishes one. NumPy's FFTs, ``abs`` and matrix products release the
+starts and joins before it returns. The chunks are split between them by
+index: the calling thread takes the first, third, fifth chunk and so on, the
+helper the others. NumPy's FFTs, ``abs`` and matrix products release the
 interpreter lock, so the lanes overlap. Beside a BLAS pool of two or more
 threads, whose idle workers spin, the helper would compete with them and slow
 the clip down, so it stays off. The complex FFT scratch holds 64 frames in
@@ -36,7 +38,6 @@ import io
 import os
 import threading
 import wave
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +144,15 @@ def write_wav(path, samples: np.ndarray) -> None:
         wav.writeframes(pcm.astype("<i2").tobytes())
 
 
-@functools.cache
-def _log_mapping() -> tuple[int, int, np.ndarray]:
-    """Triangular aggregation weights from FFT bins onto the log grid.
+def _log_mapping(bins: slice = slice(0, N_BINS)) -> tuple[int, int, np.ndarray]:
+    """Triangular aggregation weights from the band's grid bins onto log bins ``bins``.
 
-    Each log bin averages FFT magnitudes under a triangle spanning its two
-    geometric neighbours; weights are normalized per bin so neighbouring bins
-    with different numbers of FFT samples stay comparable.
+    Returns ``(k_lo, k_hi, weights)``: the band is grid bins ``k_lo..k_hi-1``,
+    and ``weights`` is ``(k_hi - k_lo, len(bins))``. Each log bin averages
+    FFT magnitudes under a triangle spanning its two geometric neighbours;
+    weights are normalized per bin so neighbouring bins with different
+    numbers of FFT samples stay comparable. A bin's weights are the same bits
+    whichever other bins are asked for with it.
     """
     centers = bin_frequencies()
     ratio = 2.0 ** (1.0 / BINS_PER_OCTAVE)
@@ -159,39 +162,28 @@ def _log_mapping() -> tuple[int, int, np.ndarray]:
     k_lo = int(np.searchsorted(fft_freqs, lows[0], side="right"))
     k_hi = int(np.searchsorted(fft_freqs, highs[-1], side="left"))
     band = fft_freqs[k_lo:k_hi]
+    lows, centers, highs = lows[bins], centers[bins], highs[bins]
     up = (band[None, :] - lows[:, None]) / (centers[:, None] - lows[:, None])
     down = (highs[:, None] - band[None, :]) / (highs[:, None] - centers[:, None])
     weights = np.clip(np.minimum(up, down), 0.0, None)
     weights /= weights.sum(axis=1, keepdims=True)
-    return k_lo, k_hi, weights.T.copy()
+    return k_lo, k_hi, weights.T
 
 
 @functools.cache
-def _octave_blocks() -> list[tuple[slice, slice, np.ndarray]]:
-    """The aggregation weights cut into one dense block per octave of log bins.
+def _tables() -> tuple[int, int, list[tuple[slice, slice, np.ndarray]], np.ndarray, np.ndarray]:
+    """The frontend's tables: ``(k_lo, k_hi, octave blocks, pre-chirp, chirp spectrum)``.
 
-    Each entry is ``(grid rows, log-bin columns, weights[rows, columns])``:
+    Each octave block is ``(grid rows, log-bin columns, weights[rows, columns])``:
     the columns are one octave's 48 bins and the rows the span of band grid
     bins (offsets from k_lo) that carry a nonzero weight for any of them.
     Every weight outside the blocks is zero, so ``band @ weights`` equals the
     blocks' products side by side at about a fifth of the multiply-adds.
-    """
-    _, _, weights = _log_mapping()
-    blocks = []
-    for first in range(0, N_BINS, BINS_PER_OCTAVE):
-        cols = slice(first, first + BINS_PER_OCTAVE)
-        used = np.flatnonzero(weights[:, cols].any(axis=1))
-        rows = slice(int(used[0]), int(used[-1]) + 1)
-        blocks.append((rows, cols, np.ascontiguousarray(weights[rows, cols])))
-    return blocks
 
-
-@functools.cache
-def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
-    """Pre-chirp and chirp spectrum of the band transform (Bluestein's algorithm).
-
-    With N = FFT_SIZE and ``m * n = (m**2 + n**2 - (m - n)**2) / 2``, the DFT
-    of a windowed frame y at grid bin k_lo + m is
+    The pre-chirp and chirp spectrum are those of the band transform
+    (Bluestein's algorithm). With N = FFT_SIZE and
+    ``m * n = (m**2 + n**2 - (m - n)**2) / 2``, the DFT of a windowed frame y
+    at grid bin k_lo + m is
 
         exp(-i pi m^2 / N) * sum_n a[n] exp(i pi (m - n)^2 / N),
         a[n] = y[n] exp(-2 pi i (k_lo n + n^2 / 2) / N),
@@ -200,7 +192,13 @@ def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
     _CHIRP_SIZE. The leading factor has unit modulus and drops out of the
     magnitude. Phases are reduced modulo 2N in integers before ``exp``.
     """
-    k_lo, k_hi, _ = _log_mapping()
+    blocks = []
+    for first in range(0, N_BINS, BINS_PER_OCTAVE):
+        cols = slice(first, first + BINS_PER_OCTAVE)
+        k_lo, k_hi, weights = _log_mapping(cols)
+        used = np.flatnonzero(weights.any(axis=1))
+        rows = slice(int(used[0]), int(used[-1]) + 1)
+        blocks.append((rows, cols, np.ascontiguousarray(weights[rows])))
     n = np.arange(WINDOW_SIZE)
     pre = np.hamming(WINDOW_SIZE) * np.exp(
         -1j * np.pi * ((2 * k_lo * n + n * n) % (2 * FFT_SIZE)) / FFT_SIZE
@@ -208,7 +206,7 @@ def _band_chirps() -> tuple[np.ndarray, np.ndarray]:
     d = np.arange(1 - WINDOW_SIZE, k_hi - k_lo)
     chirp = np.zeros(_CHIRP_SIZE, dtype=np.complex128)
     chirp[d % _CHIRP_SIZE] = np.exp(1j * np.pi * ((d * d) % (2 * FFT_SIZE)) / FFT_SIZE)
-    return pre, np.fft.fft(chirp)
+    return k_lo, k_hi, blocks, pre, np.fft.fft(chirp)
 
 
 def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
@@ -218,8 +216,7 @@ def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray, out: np.ndarray) -
     ``scratch`` is a complex ``(len(frames), _CHIRP_SIZE)`` array that is
     overwritten.
     """
-    k_lo, k_hi, _ = _log_mapping()
-    pre, chirp_spectrum = _band_chirps()
+    k_lo, k_hi, _, pre, chirp_spectrum = _tables()
     np.multiply(frames, pre, out=scratch[:, :WINDOW_SIZE])
     scratch[:, WINDOW_SIZE:] = 0.0
     np.fft.fft(scratch, axis=1, out=scratch)
@@ -254,27 +251,16 @@ def _lane_count() -> int:
     return 1
 
 
-def _run_lane(
-    frames: np.ndarray,
-    out: np.ndarray,
-    starts: Iterator[int],
-    lock: threading.Lock,
-    scratch: np.ndarray,
-    band: np.ndarray,
-) -> None:
-    """Take chunk starts from ``starts`` until it is empty and fill their rows of ``out``.
+def _run_lane(frames: np.ndarray, out: np.ndarray, starts: range, scratch: np.ndarray, band: np.ndarray) -> None:
+    """Fill the rows of ``out`` of the chunks that begin at ``starts``.
 
     A chunk's FFTs run through the complex ``scratch`` in slices of its
     height, into ``band``; its aggregation GEMMs and ``log1p`` run on the
     whole chunk.
     """
-    blocks = _octave_blocks()
+    _, _, blocks, _, _ = _tables()
     height = len(scratch)
-    while True:
-        with lock:
-            start = next(starts, None)
-        if start is None:
-            return
+    for start in starts:
         stop = min(start + _CHUNK, len(frames))
         for first in range(start, stop, height):
             last = min(first + height, stop)
@@ -295,33 +281,34 @@ def stft_logfreq(samples: np.ndarray) -> Spectrogram:
     width = frame_count(samples.size)
     frames = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_SIZE)[::HOP_SIZE]
     frames = frames[:width]
-    # fill the caches before a second thread reads them: functools.cache is
-    # not filled safely from two threads
-    k_lo, k_hi, _ = _log_mapping()
-    _octave_blocks()
-    _band_chirps()
+    # built here, on the calling thread, before a helper lane reads them
+    k_lo, k_hi, *_ = _tables()
     lanes = _lane_count() if width > _CHUNK else 1
     # both lanes' arrays come from the calling thread's allocator; the lanes
     # split one chunk's height of complex scratch
     out = np.empty((width, N_BINS), dtype=np.float64)
     scratch = np.empty((lanes, min(width, _CHUNK // lanes), _CHIRP_SIZE), dtype=np.complex128)
     bands = np.empty((lanes, min(width, _CHUNK), k_hi - k_lo), dtype=np.float64)
-    lane = functools.partial(_run_lane, frames, out, iter(range(0, width, _CHUNK)), threading.Lock())
+
+    def lane(k: int) -> None:
+        # lane k takes every lanes-th chunk from chunk k on
+        _run_lane(frames, out, range(k * _CHUNK, width, lanes * _CHUNK), scratch[k], bands[k])
+
     if lanes == 1:
-        lane(scratch[0], bands[0])
+        lane(0)
     else:
         errors: list[BaseException] = []
 
         def helper_lane() -> None:
             try:
-                lane(scratch[1], bands[1])
+                lane(1)
             except BaseException as exc:  # raised again on the calling thread
                 errors.append(exc)
 
         helper = threading.Thread(target=helper_lane, name="polyscore-stft")
         helper.start()
         try:
-            lane(scratch[0], bands[0])
+            lane(0)
         finally:
             helper.join()
         if errors:

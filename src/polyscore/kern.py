@@ -163,7 +163,10 @@ def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     if not m:
         raise UnknownToken(f"cannot parse cell {token!r}", line, column)
 
-    duration = int(m.group("dur"))
+    try:
+        duration = int(m.group("dur"))
+    except ValueError:  # more digits than int() converts, 4300 by default
+        raise UnknownToken(f"duration of {len(m.group('dur'))} digits in {token!r} is not canonical", line, column) from None
     if duration not in CANONICAL_DURATIONS:
         raise UnknownToken(f"duration {duration} in {token!r} is not canonical", line, column)
     dots = len(m.group("dots"))

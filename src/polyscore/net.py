@@ -892,6 +892,10 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
                     f"unsupported checkpoint version {version}; retrain to write version {CHECKPOINT_VERSION}"
                 )
             (header_len,) = struct.unpack("<I", fh.read(4))
+            # checked before reading, so a damaged length cannot ask for a huge buffer
+            size = os.fstat(fh.fileno()).st_size
+            if header_len > size - fh.tell():
+                raise CheckpointError(f"header of {header_len} bytes runs past the end of the file")
             header = json.loads(fh.read(header_len).decode("utf-8"))
             (vocab_hash,) = struct.unpack("<32s", fh.read(32))
             config = ModelConfig(**header["config"])
@@ -906,7 +910,7 @@ def load_checkpoint(path, expected_vocab_hash: bytes | None = None):
             counts = [sum(math.prod(shape) for shape in s.values()) for s in (shapes, velocity_shapes)]
             payload_bytes = 4 * sum(counts)
             # checked before allocating, so a damaged header cannot ask for a huge buffer
-            actual = os.fstat(fh.fileno()).st_size - fh.tell()
+            actual = size - fh.tell()
             if actual != payload_bytes:
                 raise CheckpointError(
                     f"payload holds {actual} bytes; the model configuration implies {payload_bytes}"

@@ -193,6 +193,16 @@ def test_build_skips_score_with_repeated_header(tmp_path, capsys):
     assert "build: skipping twice.krn: exclusive interpretation after the header row (line 2)" in err
 
 
+def test_build_skips_score_with_a_5000_digit_duration(tmp_path, capsys):
+    make_corpus(tmp_path / "corpus", n_scores=3, seed=2, two_voice_every=0)
+    (tmp_path / "corpus" / "long.krn").write_text("**kern\n" + "9" * 5000 + "c\n=\n*-\n")
+    assert cli.main(["build", "--config", str(_write_config(tmp_path))]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("build: skipping long.krn: duration of 5000 digits")
+    assert ", 1 skipped" in captured.out
+
+
 def test_build_all_bad_files_exits_nonzero(tmp_path):
     (tmp_path / "corpus").mkdir()
     (tmp_path / "corpus" / "one.krn").write_text("**kern\nnonsense\n*-\n")
@@ -350,6 +360,19 @@ def test_train_resume_after_failed_save_matches_uninterrupted(tmp_path, monkeypa
 
     for name in ("last.ckpt", cli.LOG_FILENAME):
         assert (steps_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+
+def test_fresh_train_drops_log_lines_with_a_damaged_epoch_field(tiny_dataset, tmp_path):
+    # "²" passes str.isdigit() but not int(), and int() refuses over 4300 digits
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    stale = "epoch ² loss 1.0\nepoch " + "1" * 5000 + " loss 1.0\nepoch 0 stale\n"
+    (ckpt / cli.LOG_FILENAME).write_text(stale, encoding="utf-8")
+    config_path = _write_config(tmp_path, epochs=1)
+    train = ["train", "--config", str(config_path), "--manifest", str(tiny_dataset["manifest"])]
+    assert cli.main(train) == cli.EXIT_OK
+    log_lines = (ckpt / cli.LOG_FILENAME).read_text(encoding="utf-8").splitlines()
+    assert len(log_lines) == 1 and log_lines[0].startswith("epoch 0 ") and "stale" not in log_lines[0]
 
 
 def test_transcribe_training_sample(tiny_dataset, capsys, tmp_path):
@@ -646,6 +669,24 @@ def test_non_finite_manifest_duration_is_data_error(tiny_dataset, tmp_path):
         manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
         with pytest.raises(cli.DataError, match="duration_s"):
             cli.read_manifest(manifest)
+
+
+def test_manifest_number_of_more_digits_than_int_converts_is_data_error(tiny_dataset, tmp_path):
+    # json parses a long integer with int(), which refuses more than 4300 digits
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset["manifest"].parent, data)
+    manifest = data / "manifest.jsonl"
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    lines = [json.dumps(r) for r in rows]
+    lines[0] = lines[0].replace(json.dumps(rows[0]["duration_s"]), "9" * 5000)
+    manifest.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(cli.DataError, match=f"cannot read manifest {manifest}"):
+        cli.read_manifest(manifest)
+    config_path = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config_path), "--manifest", str(manifest)]) == cli.EXIT_DATA
+    checkpoint = str(tiny_dataset["checkpoint_dir"] / "best.ckpt")
+    evaluate = ["evaluate", "--checkpoint", checkpoint, "--manifest", str(manifest), "--split", "train"]
+    assert cli.main(evaluate) == cli.EXIT_DATA
 
 
 def _malformed_inputs(root, data, checkpoint, damage):

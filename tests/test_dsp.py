@@ -207,7 +207,7 @@ def test_fft_against_naive_dft():
 
 def test_octave_blocks_reassemble_dense_weights():
     _, _, weights = dsp._log_mapping()
-    blocks = dsp._octave_blocks()
+    _, _, blocks, _, _ = dsp._tables()
     assert len(blocks) == dsp.N_BINS // dsp.BINS_PER_OCTAVE
     rebuilt = np.zeros_like(weights)
     hits = np.zeros(weights.shape, dtype=int)
@@ -348,8 +348,9 @@ def test_two_lanes_join_their_helper_and_raise_its_error(failing, monkeypatch):
 
 
 def test_one_lane_process_does_not_load_concurrent_futures():
-    # the helper's executor is imported only by a two-lane call, so a process
-    # that runs the CLI's imports and a one-chunk spectrogram does without it
+    # the helper lane is a plain thread and nothing in the package imports
+    # concurrent.futures, so a process that runs the CLI's imports and a
+    # one-chunk spectrogram does without it
     code = (
         "import sys, numpy as np, polyscore.cli; from polyscore import dsp; "
         "dsp.stft_logfreq(np.zeros(dsp.WINDOW_SIZE + 63 * dsp.HOP_SIZE)); "

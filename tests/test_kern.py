@@ -68,6 +68,13 @@ def test_parse_rejects_unknown_tokens():
             kern.parse_kern(f"**kern\n{cell}\n*-\n")
 
 
+def test_parse_rejects_duration_of_more_digits_than_int_converts():
+    # int() refuses a string of more than 4300 digits with a bare ValueError
+    with pytest.raises(kern.UnknownToken, match="duration of 5000 digits") as info:
+        kern.parse_kern("**kern\t**kern\n4c\t" + "9" * 5000 + "c\n*-\t*-\n")
+    assert (info.value.line, info.value.column) == (2, 2)
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

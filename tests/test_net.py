@@ -1,6 +1,10 @@
 import contextlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +316,41 @@ def test_checkpoint_corrupt_file(tmp_path):
         truncated.write_bytes(data[:4] + struct.pack("<I", old) + data[8:])
         with pytest.raises(net.CheckpointError, match=f"version {old}; retrain"):
             net.load_checkpoint(truncated)
+
+
+_LOAD_UNDER_ADDRESS_LIMIT = """
+import resource, sys
+from polyscore import net
+vm_kib = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:"))
+limit = vm_kib * 1024 + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    net.load_checkpoint(sys.argv[1])
+except net.CheckpointError as exc:
+    print("CheckpointError:", exc)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmSize from /proc/self/status")
+def test_checkpoint_header_length_past_the_file_is_refused_before_reading(tmp_path):
+    # a header length of almost 4 GiB must be refused before a buffer of that
+    # size is asked for: under an address-space limit 1 GiB above the loader's
+    # own, such a read raises MemoryError
+    params = tiny_params(dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    net.save_checkpoint(path, TINY, params, net.zero_velocity(params), b"\x00" * 32)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", 0xFFFFFFF0) + data[12:])
+    with pytest.raises(net.CheckpointError, match="header of 4294967280 bytes runs past the end"):
+        net.load_checkpoint(path)
+    src = str(Path(net.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _LOAD_UNDER_ADDRESS_LIMIT, str(path)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("CheckpointError: header of 4294967280 bytes")
 
 
 @pytest.mark.parametrize("damage", ["missing", "extra", "wrong_shape", "velocity_missing"])
