@@ -423,7 +423,6 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
         raise ConfigError(f"invalid model configuration: input_bins must be {dsp.N_BINS}")
     ckpt_dir = Path(config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    vocab.save(ckpt_dir / VOCAB_FILENAME)
 
     if resume_checkpoint is not None:
         loaded_config, params, velocity, state = net.load_checkpoint(
@@ -447,6 +446,9 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
     val_samples = data["validation"] or train_samples
     if not train_samples:
         raise DataError("manifest has no training samples")
+    # written once the resume checkpoint and the dataset are accepted, so a
+    # refused run leaves the checkpoints' vocabulary as it was
+    vocab.save(ckpt_dir / VOCAB_FILENAME)
 
     log_path = ckpt_dir / LOG_FILENAME
     # an epoch's line is logged before its checkpoint is saved, so a save that
@@ -462,27 +464,14 @@ def cmd_train(config: RunConfig, manifest_path, resume_checkpoint=None) -> int:
             for start in range(0, len(order), config.batch_size):
                 batch = [train_samples[j] for j in order[start : start + config.batch_size]]
                 seeds = [_subseed(config.seed, "dropout", epoch, sample_id) for sample_id, _, _ in batch]
-                grids, cache = net.forward(
-                    params, model_config, [spec for _, spec, _ in batch], mode="train", rng_seed=seeds
+                step_losses, step_skips = net.train_step(
+                    params, velocity, model_config,
+                    [spec for _, spec, _ in batch], [target for _, _, target in batch], seeds, lr,
                 )
-                grad_logits = []
-                moments = []
-                for (sample_id, _, target), grid, clip_moments in zip(batch, grids, cache.bn_moments):
-                    try:
-                        loss, grad = ctc.ctc_loss(grid, target)
-                    except ctc.InfeasibleLength as exc:
-                        skipped += 1
-                        _diag(f"train: skipping {sample_id} in epoch {epoch}: {exc}")
-                        grad_logits.append(np.zeros_like(grid))
-                        continue
-                    grad_logits.append(grad)
-                    moments.append(clip_moments)
-                    losses.append(loss)
-                if not moments:
-                    continue
-                # batch gradient is the sum over samples, not the mean
-                net.sgd_nesterov_step(params, net.backward(cache, grad_logits), velocity, lr)
-                net.update_batchnorm_stats(params, moments)
+                losses += step_losses
+                skipped += len(step_skips)
+                for k, exc in step_skips:
+                    _diag(f"train: skipping {batch[k][0]} in epoch {epoch}: {exc}")
             val_wer, val_cer = _validation_rates(
                 params, model_config, vocab, val_samples, config.batch_size
             )

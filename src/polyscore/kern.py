@@ -62,6 +62,7 @@ _TOKEN_RE = re.compile(
     r"(?P<acc>\#{1,2}|-{1,2}|n)?"
     r"(?P<tail>[\];]*)$"
 )
+_QUOTE_LIMIT = 40  # most characters of a cell's repr that a message quotes
 
 
 class KernError(DataError):
@@ -155,27 +156,37 @@ class KernDocument:
         return sum(1 for r in self.rows if r.kind == "barline")
 
 
+def _quote(token: str) -> str:
+    """A cell as a message quotes it: its repr, or when that is long, its start and the cell's length."""
+    quoted = repr(token)
+    if len(quoted) <= _QUOTE_LIMIT:
+        return quoted
+    return f"{quoted[:_QUOTE_LIMIT]}... ({len(token)} characters)"
+
+
 def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     stripped = "".join(ch for ch in token if ch not in _DECORATIONS and ch not in "qQ")
     if "_" in stripped:
-        raise UnknownToken(f"tie continuation {token!r} is not supported", line, column)
+        raise UnknownToken(f"tie continuation {_quote(token)} is not supported", line, column)
     m = _TOKEN_RE.match(stripped)
     if not m:
-        raise UnknownToken(f"cannot parse cell {token!r}", line, column)
+        raise UnknownToken(f"cannot parse cell {_quote(token)}", line, column)
 
+    digits = m.group("dur")
     try:
-        duration = int(m.group("dur"))
+        duration = int(digits)
     except ValueError:  # more digits than int() converts, 4300 by default
-        raise UnknownToken(f"duration of {len(m.group('dur'))} digits in {token!r} is not canonical", line, column) from None
+        duration = None
     if duration not in CANONICAL_DURATIONS:
-        raise UnknownToken(f"duration {duration} in {token!r} is not canonical", line, column)
+        what = f"duration {duration}" if len(digits) <= _QUOTE_LIMIT else f"duration of {len(digits)} digits"
+        raise UnknownToken(f"{what} in {_quote(token)} is not canonical", line, column)
     dots = len(m.group("dots"))
     if dots > 2:
-        raise UnknownToken(f"too many dots in {token!r}", line, column)
+        raise UnknownToken(f"too many dots in {_quote(token)}", line, column)
 
     tail = m.group("tail")
     if tail.count("]") > 1 or tail.count(";") > 1:
-        raise UnknownToken(f"repeated tie or fermata marks in {token!r}", line, column)
+        raise UnknownToken(f"repeated tie or fermata marks in {_quote(token)}", line, column)
     tie_open = m.group("open") is not None
     tie_close = "]" in tail
     fermata = ";" in tail
@@ -183,20 +194,20 @@ def _parse_event(token: str, line: int, column: int) -> ScoreEvent:
     body = m.group("body")
     if body == "r":
         if tie_open or tie_close or m.group("acc"):
-            raise UnknownToken(f"rest with tie or accidental in {token!r}", line, column)
+            raise UnknownToken(f"rest with tie or accidental in {_quote(token)}", line, column)
         return ScoreEvent(kind="rest", duration=duration, dots=dots, fermata=fermata)
 
     if len(set(body)) != 1:
-        raise UnknownToken(f"mixed pitch letters in {token!r}", line, column)
+        raise UnknownToken(f"mixed pitch letters in {_quote(token)}", line, column)
     letter = body[0]
     octave = 4 + (len(body) - 1) if letter.islower() else 4 - len(body)
     if not 2 <= octave <= 7:
-        raise UnknownToken(f"octave {octave} out of range in {token!r}", line, column)
+        raise UnknownToken(f"octave {octave} out of range in {_quote(token)}", line, column)
     acc_text = m.group("acc") or ""
     accidental = {"": 0, "n": 0}.get(acc_text, len(acc_text) * (1 if acc_text.startswith("#") else -1))
 
     if tie_open and tie_close:
-        raise UnknownToken(f"note {token!r} both opens and closes a tie", line, column)
+        raise UnknownToken(f"note {_quote(token)} both opens and closes a tie", line, column)
     tie = "open" if tie_open else ("close" if tie_close else "none")
     return ScoreEvent(
         kind="note",
@@ -224,7 +235,7 @@ def _parse_cell(token: str, line: int, column: int) -> tuple[ScoreEvent, tuple[t
     if not events:
         raise UnknownToken("empty cell", line, column)
     if len(events) > 1 and any(e.kind != "note" for e in events):
-        raise UnknownToken(f"chord {token!r} may only contain notes", line, column)
+        raise UnknownToken(f"chord {_quote(token)} may only contain notes", line, column)
     lowest = min(range(len(events)), key=lambda i: events[i].midi) if len(events) > 1 else 0
     grace = "q" in parts[lowest] or "Q" in parts[lowest]
     marks = tuple((e.tie, e.midi, i == lowest and not grace) for i, e in enumerate(events) if e.tie != "none")

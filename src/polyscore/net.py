@@ -8,9 +8,9 @@ final linear projection with row log-softmax yields per-frame symbol
 log-posteriors.
 
 Batch normalization always normalizes with the stored running statistics (the
-desk-scale batches are too small for batch statistics); the training loop
-updates those statistics explicitly via :func:`update_batchnorm_stats`, so the
-forward pass stays a pure function of (params, input, seed). That also makes a
+desk-scale batches are too small for batch statistics); :func:`train_step`
+updates those statistics after each optimizer step, so the forward pass
+stays a pure function of (params, input, seed). That also makes a
 batch of clips compute what each clip computes alone.
 
 A batch carries no padding outside the LSTM recurrence. The conv stages run
@@ -34,6 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import ctc
 from .atomic import atomic_open
 from .errors import DataError, ModelError
 
@@ -775,17 +776,6 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
     return grads
 
 
-def update_batchnorm_stats(params: dict[str, np.ndarray], moments: list[dict]) -> None:
-    """Blend the mean of the clips' activation moments into the running statistics."""
-    for name in moments[0]:
-        mean = np.stack([m[name][0] for m in moments]).mean(axis=0)
-        var = np.stack([m[name][1] for m in moments]).mean(axis=0)
-        rm = params[f"{name}_mean"]
-        rv = params[f"{name}_var"]
-        params[f"{name}_mean"] = ((1 - BN_MOMENTUM) * rm + BN_MOMENTUM * mean).astype(rm.dtype)
-        params[f"{name}_var"] = ((1 - BN_MOMENTUM) * rv + BN_MOMENTUM * var).astype(rv.dtype)
-
-
 def sgd_nesterov_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -811,6 +801,46 @@ def sgd_nesterov_step(
         step += g
         step *= lr
         params[name] -= step
+
+
+def train_step(
+    params: dict[str, np.ndarray], velocity: dict[str, np.ndarray], config: ModelConfig,
+    clips: list, targets: list, seeds: list, lr: float,
+) -> tuple[list[float], list[tuple[int, ctc.InfeasibleLength]]]:
+    """One optimizer step on a batch of clips, updating ``params`` and ``velocity`` in place.
+
+    Runs the train-mode forward, each clip's alignment-free loss and
+    gradient, the backward pass and the Nesterov update, then blends the
+    mean of the trained clips' batch-norm moments into the running
+    statistics. A clip whose target needs more frames than its grid has is
+    skipped: its upstream gradient is zero and its moments are left out. The
+    batch gradient is the sum over the clips, not their mean. When every
+    clip is skipped, nothing is updated.
+
+    Returns the loss of each trained clip, in batch order, and one
+    ``(batch index, ctc.InfeasibleLength)`` pair per skipped clip.
+    """
+    grids, cache = forward(params, config, clips, mode="train", rng_seed=seeds)
+    losses, skipped, grad_logits, moments = [], [], [], []
+    for k, (grid, target, clip_moments) in enumerate(zip(grids, targets, cache.bn_moments)):
+        try:
+            loss, grad = ctc.ctc_loss(grid, target)
+        except ctc.InfeasibleLength as exc:
+            skipped.append((k, exc))
+            grad_logits.append(np.zeros_like(grid))
+            continue
+        grad_logits.append(grad)
+        moments.append(clip_moments)
+        losses.append(loss)
+    if not moments:
+        return losses, skipped
+    sgd_nesterov_step(params, backward(cache, grad_logits), velocity, lr)
+    for name in moments[0]:
+        for i, stat in enumerate(("mean", "var")):
+            blend = np.stack([m[name][i] for m in moments]).mean(axis=0)
+            running = params[f"{name}_{stat}"]
+            params[f"{name}_{stat}"] = ((1 - BN_MOMENTUM) * running + BN_MOMENTUM * blend).astype(running.dtype)
+    return losses, skipped
 
 
 def zero_velocity(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -557,25 +558,55 @@ def test_evaluate_text_report_format(tiny_dataset, capsys):
 
 
 def test_train_vocab_hash_mismatch_rejected(tiny_dataset, tmp_path):
-    # checkpoint from a different vocabulary must be refused on resume
-    ckpt_dir = tiny_dataset["checkpoint_dir"]
+    # checkpoint from a different vocabulary must be refused on resume, and
+    # the refused run must leave the checkpoint directory's vocabulary as it was
     config = tiny_dataset["config"]
     other_vocab = codec.Vocabulary(symbols=codec.STRUCTURAL_SYMBOLS + ("4", "C4"))
     model_config = net.ModelConfig(vocab_size=len(other_vocab), **config.model)
     params = net.init_params(model_config, 0)
-    bad_ckpt = tmp_path / "foreign.ckpt"
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    other_vocab.save(ckpt_dir / cli.VOCAB_FILENAME)
+    vocab_bytes = (ckpt_dir / cli.VOCAB_FILENAME).read_bytes()
+    bad_ckpt = ckpt_dir / "last.ckpt"
     net.save_checkpoint(
         bad_ckpt, model_config, params, net.zero_velocity(params), other_vocab.sha256()
     )
     rc = cli.main(
         [
             "train",
-            "--config", str(tiny_dataset["config_path"]),
+            "--config", str(_write_config(tmp_path)),
             "--manifest", str(tiny_dataset["manifest"]),
             "--checkpoint", str(bad_ckpt),
         ]
     )
     assert rc == cli.EXIT_DATA
+    assert (ckpt_dir / cli.VOCAB_FILENAME).read_bytes() == vocab_bytes
+
+
+def test_train_skips_clip_whose_target_needs_more_frames(tiny_dataset, tmp_path, capsys):
+    # one train clip's token file asks for more labels than the clip has
+    # frames: every epoch skips it with one stderr line and trains the rest
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset["manifest"].parent, data)
+    manifest = data / cli.MANIFEST_FILENAME
+    sample = next(s for s in cli.read_manifest(manifest) if s.split == "train")
+    frames = len(cli._features(data / sample.audio))
+    tokens = (data / sample.tokens).read_text().split()
+    (data / sample.tokens).write_text("\n".join(tokens * (frames // len(tokens) + 1)) + "\n")
+    config_path = _write_config(tmp_path, epochs=2)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config_path), "--manifest", str(manifest)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    skips = [line for line in err.splitlines() if line.startswith("train: skipping")]
+    assert [line.split(":")[1] for line in skips] == [f" skipping {sample.id} in epoch {e}" for e in (0, 1)]
+    epoch_lines = out.splitlines()
+    assert len(epoch_lines) == 2 and all(line.endswith(" skipped 1") for line in epoch_lines)
+    log = (tmp_path / "ckpt" / cli.LOG_FILENAME).read_text().splitlines()
+    assert log == epoch_lines
+    for line in log:
+        words = line.split()
+        assert math.isfinite(float(words[words.index("loss") + 1]))
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -76,6 +76,41 @@ def test_parse_rejects_duration_of_more_digits_than_int_converts():
 
 
 @pytest.mark.parametrize(
+    "cell, start",
+    [
+        ("4c_" + "c" * 100_000, "tie continuation '4c_ccc"),
+        ("weird" * 20_000, "cannot parse cell 'weirdweird"),
+        ("9" * 5000 + "c", "duration of 5000 digits in '999"),
+        ("9" * 100 + "c", "duration of 100 digits in '999"),
+        ("4" + "." * 100_000 + "c", "too many dots in '4..."),
+        ("4c" + "]" * 100_000, "repeated tie or fermata marks in '4c]]]"),
+        ("[4r" + "L" * 100_000, "rest with tie or accidental in '[4rLLL"),
+        ("4" + "cd" * 50_000, "mixed pitch letters in '4cdcd"),
+        ("4" + "c" * 100_000, "octave 100003 out of range in '4ccc"),
+        ("[4c]" + "L" * 100_000, "note '[4c]LLL"),
+        ("4r" + " 4c" * 30_000, "chord '4r 4c 4c"),
+    ],
+)
+def test_parse_messages_quote_a_bounded_prefix_of_a_long_cell(cell, start):
+    with pytest.raises(kern.UnknownToken) as info:
+        kern.parse_kern(f"**kern\n{cell}\n*-\n")
+    message = str(info.value)
+    assert message.startswith(start)
+    assert f"({len(cell)} characters)" in message and len(message) < 200
+
+
+def test_parse_messages_quote_a_short_cell_whole():
+    for cell, message in (
+        ("12c", "duration 12 in '12c' is not canonical (line 2, column 1)"),
+        ("4ccccc", "octave 8 out of range in '4ccccc' (line 2, column 1)"),
+        ("4r 4c", "chord '4r 4c' may only contain notes (line 2, column 1)"),
+    ):
+        with pytest.raises(kern.UnknownToken) as info:
+            kern.parse_kern(f"**kern\n{cell}\n*-\n")
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ("**kern\n**kern\n4c\n=\n*-\n", 2),  # a repeated header line

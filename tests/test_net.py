@@ -386,14 +386,80 @@ def test_model_config_validation():
 
 
 def test_batchnorm_stats_update():
+    # a step blends the clip's batch-norm moments into the running statistics
     params = tiny_params(dtype=np.float32)
     x = np.random.default_rng(0).random((6, 24))
-    [grid], cache = net.forward(params, TINY, [x], mode="train", rng_seed=[0])
+    _, cache = net.forward(params, TINY, [x], mode="train", rng_seed=[0])
+    mean = cache.bn_moments[0]["bn0"][0]
     before = params["bn0_mean"].copy()
-    net.update_batchnorm_stats(params, cache.bn_moments)
+    losses, skipped = net.train_step(params, net.zero_velocity(params), TINY, [x], [[1, 2]], [0], 0.1)
     after = params["bn0_mean"]
+    assert len(losses) == 1 and skipped == []
     assert not np.array_equal(before, after)
     assert after.dtype == np.float32
+    expected = ((1 - net.BN_MOMENTUM) * before + net.BN_MOMENTUM * mean).astype(np.float32)
+    assert np.array_equal(after, expected)
+
+
+def _state(params, velocity):
+    return {("p", n): a.copy() for n, a in params.items()} | {("v", n): a.copy() for n, a in velocity.items()}
+
+
+def test_train_step_with_every_clip_infeasible_changes_nothing():
+    params = tiny_params()
+    # a nonzero velocity, so that any update would move the parameters
+    velocity = {n: np.full_like(v, 0.5) for n, v in net.zero_velocity(params).items()}
+    before = _state(params, velocity)
+    rng = np.random.default_rng(3)
+    clips = [rng.random((2, 24)), rng.random((3, 24))]  # 4 and 6 frames, doubled
+    targets = [[1, 2, 3, 4, 1], [2, 2, 2, 2]]  # need 5 and 7 frames
+    losses, skipped = net.train_step(params, velocity, TINY, clips, targets, [1, 2], 0.1)
+    assert losses == []
+    assert [k for k, _ in skipped] == [0, 1]
+    assert all(isinstance(exc, ctc.InfeasibleLength) for _, exc in skipped)
+    after = _state(params, velocity)
+    assert after.keys() == before.keys()
+    for key, array in before.items():
+        assert array.dtype == after[key].dtype and array.tobytes() == after[key].tobytes(), key
+
+
+def test_train_step_mixed_batch_trains_the_feasible_clips():
+    # the step against its parts composed by hand: a zero upstream gradient
+    # and no batch-norm moments for the infeasible clip, the summed gradient
+    # through one Nesterov update, then the running statistics
+    params = tiny_params(dtype=np.float32)
+    velocity = net.zero_velocity(params)
+    rng = np.random.default_rng(4)
+    clips = [rng.random((5, 24)), rng.random((2, 24)), rng.random((7, 24))]
+    targets = [[1, 2, 1], [3, 3, 3], [4, 2]]  # the middle clip's 4 frames cannot emit 3 repeats
+    seeds = [7, 8, 9]
+    expected_params = {n: a.copy() for n, a in params.items()}
+    expected_velocity = net.zero_velocity(params)
+    grids, cache = net.forward(expected_params, TINY, clips, mode="train", rng_seed=seeds)
+    upstream, expected_losses = [], []
+    for k, (grid, target) in enumerate(zip(grids, targets)):
+        if k == 1:
+            upstream.append(np.zeros_like(grid))
+            continue
+        loss, grad = ctc.ctc_loss(grid, target)
+        expected_losses.append(loss)
+        upstream.append(grad)
+    net.sgd_nesterov_step(expected_params, net.backward(cache, upstream), expected_velocity, 0.1)
+    trained = [cache.bn_moments[0], cache.bn_moments[2]]
+    for name in trained[0]:
+        for i, stat in enumerate(("mean", "var")):
+            blend = np.stack([m[name][i] for m in trained]).mean(axis=0)
+            running = expected_params[f"{name}_{stat}"]
+            expected_params[f"{name}_{stat}"] = ((1 - net.BN_MOMENTUM) * running + net.BN_MOMENTUM * blend).astype(np.float32)
+
+    losses, skipped = net.train_step(params, velocity, TINY, clips, targets, seeds, 0.1)
+    assert losses == expected_losses
+    assert [k for k, _ in skipped] == [1]
+    assert "(need 5)" in str(skipped[0][1])
+    for got, expected in ((params, expected_params), (velocity, expected_velocity)):
+        assert got.keys() == expected.keys()
+        for name in got:
+            assert got[name].tobytes() == expected[name].tobytes(), name
 
 
 def _close(actual, expected, rtol):
