@@ -17,31 +17,29 @@ against a zero-padded FFT. The blocks and the band transform's chirps are
 built by the first spectrogram a process computes and cached together.
 
 A clip is computed in chunks of 64 frames. When it has more than one chunk,
-the process may run on two or more CPUs and OpenBLAS runs one thread, the
-chunks run on two lanes: the calling thread and a helper thread that the call
-starts and joins before it returns. The chunks are split between them by
-index: the calling thread takes the first, third, fifth chunk and so on, the
-helper the others. NumPy's FFTs, ``abs`` and matrix products release the
-interpreter lock, so the lanes overlap. Beside a BLAS pool of two or more
-threads, whose idle workers spin, the helper would compete with them and slow
-the clip down, so it stays off. The complex FFT scratch holds 64 frames in
-all: one lane runs a chunk's FFTs at once, each of two lanes in two halves of
-32 frames. FFTs and magnitudes are computed row by row, so their bits do not
-depend on that height. Every lane runs the aggregation products on the whole
-64-frame chunk, the same products on either lane, so the result does not
-depend on the lanes: it is bitwise the same with one lane or two.
+the chunks run on the lanes of :mod:`polyscore.lanes`: two where
+:func:`polyscore.lanes.count` allows them (two or more CPUs beside a
+one-thread OpenBLAS pool), else one. Chunk i runs on lane ``i % lanes``, so
+the calling thread takes the first, third, fifth chunk and so on, and the
+helper thread the others. The output, the complex FFT scratch and the band
+magnitudes are allocated by the calling thread and handed to the lanes. The
+FFT scratch holds 64 frames in all: one lane runs a chunk's FFTs at once,
+each of two lanes in two halves of 32 frames. FFTs and magnitudes are
+computed row by row, so their bits do not depend on that height. Every lane
+runs the aggregation products on the whole 64-frame chunk, the same products
+on either lane, so the result does not depend on the lanes: it is bitwise the
+same with one lane or two.
 """
 from __future__ import annotations
 
 import functools
 import io
-import os
-import threading
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .atomic import atomic_open
 from .errors import DataError
 
@@ -225,50 +223,22 @@ def _band_magnitudes(frames: np.ndarray, scratch: np.ndarray, out: np.ndarray) -
     np.abs(scratch[:, : k_hi - k_lo], out=out)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _chunk(frames: np.ndarray, out: np.ndarray, start: int, scratch: np.ndarray, band: np.ndarray) -> None:
+    """Fill the rows of ``out`` of the chunk that begins at frame ``start``.
 
-
-def _lane_count() -> int:
-    """Lanes a clip of more than one chunk runs on: two when the process may
-    run on two or more CPUs and OpenBLAS runs one thread, else one.
-
-    OpenBLAS sizes its pool at load from the first positive
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, and
-    with none of them from every CPU.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return 2 if threads == 1 and _cpu_count() >= 2 else 1
-    return 1
-
-
-def _run_lane(frames: np.ndarray, out: np.ndarray, starts: range, scratch: np.ndarray, band: np.ndarray) -> None:
-    """Fill the rows of ``out`` of the chunks that begin at ``starts``.
-
-    A chunk's FFTs run through the complex ``scratch`` in slices of its
-    height, into ``band``; its aggregation GEMMs and ``log1p`` run on the
-    whole chunk.
+    Its FFTs run through the complex ``scratch`` in slices of its height,
+    into ``band``; its aggregation GEMMs and ``log1p`` run on the whole chunk.
     """
     _, _, blocks, _, _ = _tables()
     height = len(scratch)
-    for start in starts:
-        stop = min(start + _CHUNK, len(frames))
-        for first in range(start, stop, height):
-            last = min(first + height, stop)
-            _band_magnitudes(frames[first:last], scratch[: last - first], band[first - start : last - start])
-        rows_out = out[start:stop]
-        for rows, cols, block in blocks:
-            np.matmul(band[: stop - start, rows], block, out=rows_out[:, cols])
-        np.log1p(rows_out, out=rows_out)
+    stop = min(start + _CHUNK, len(frames))
+    for first in range(start, stop, height):
+        last = min(first + height, stop)
+        _band_magnitudes(frames[first:last], scratch[: last - first], band[first - start : last - start])
+    rows_out = out[start:stop]
+    for rows, cols, block in blocks:
+        np.matmul(band[: stop - start, rows], block, out=rows_out[:, cols])
+    np.log1p(rows_out, out=rows_out)
 
 
 def stft_logfreq(samples: np.ndarray) -> Spectrogram:
@@ -283,34 +253,16 @@ def stft_logfreq(samples: np.ndarray) -> Spectrogram:
     frames = frames[:width]
     # built here, on the calling thread, before a helper lane reads them
     k_lo, k_hi, *_ = _tables()
-    lanes = _lane_count() if width > _CHUNK else 1
-    # both lanes' arrays come from the calling thread's allocator; the lanes
-    # split one chunk's height of complex scratch
+    n_chunks = -(-width // _CHUNK)
+    n_lanes = lanes.count() if n_chunks > 1 else 1
+    # every lane's arrays come from the calling thread; the lanes split one
+    # chunk's height of complex scratch
     out = np.empty((width, N_BINS), dtype=np.float64)
-    scratch = np.empty((lanes, min(width, _CHUNK // lanes), _CHIRP_SIZE), dtype=np.complex128)
-    bands = np.empty((lanes, min(width, _CHUNK), k_hi - k_lo), dtype=np.float64)
+    scratch = np.empty((n_lanes, min(width, _CHUNK // n_lanes), _CHIRP_SIZE), dtype=np.complex128)
+    bands = np.empty((n_lanes, min(width, _CHUNK), k_hi - k_lo), dtype=np.float64)
 
-    def lane(k: int) -> None:
-        # lane k takes every lanes-th chunk from chunk k on
-        _run_lane(frames, out, range(k * _CHUNK, width, lanes * _CHUNK), scratch[k], bands[k])
+    def chunk(i: int) -> None:
+        _chunk(frames, out, i * _CHUNK, scratch[i % n_lanes], bands[i % n_lanes])
 
-    if lanes == 1:
-        lane(0)
-    else:
-        errors: list[BaseException] = []
-
-        def helper_lane() -> None:
-            try:
-                lane(1)
-            except BaseException as exc:  # raised again on the calling thread
-                errors.append(exc)
-
-        helper = threading.Thread(target=helper_lane, name="polyscore-stft")
-        helper.start()
-        try:
-            lane(0)
-        finally:
-            helper.join()
-        if errors:
-            raise errors[0]
+    lanes.run(n_chunks, chunk, n_lanes)
     return Spectrogram(frames=out)

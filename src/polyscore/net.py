@@ -23,6 +23,17 @@ in chunks of at most :data:`CHUNK_ROWS`, taken in clip order
 nor on the BLAS thread count.
 Everything runs in the parameter dtype: :func:`backward` casts the incoming
 loss gradient to it.
+
+The network uses the lanes of :mod:`polyscore.lanes`, as many as
+:func:`polyscore.lanes.count` allows (two beside a one-thread OpenBLAS pool
+on two or more CPUs). Their items are each clip's whole conv stack, forward
+and backward (a lone eval clip's conv time tiles instead, one layer at a
+time), the row halves of the large products (:func:`_row_halves`) and each
+direction's ``dwx``. The work splits into the same items whatever the lane
+count, so every result is bitwise the same with one lane or two. Every
+array larger than a small transient that a lane writes is allocated by the
+calling thread and handed in, and lanes call only this module's internals
+and NumPy.
 """
 from __future__ import annotations
 
@@ -31,10 +42,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from . import ctc
+from . import ctc, lanes
 from .atomic import atomic_open
 from .errors import DataError, ModelError
 
@@ -48,6 +60,7 @@ CONV_KERNEL = 3
 CONV_FREQ_STRIDE = 2
 CONV_TILE = 128  # output frames per lowered time tile of a convolution
 CHUNK_ROWS = 256  # most frames one weight-gradient product or sum reduces over
+DRAW_CHANNELS = 4  # conv channels whose dropout draws are taken at once
 CHECKPOINT_MAGIC = b"PSCK"
 CHECKPOINT_VERSION = 3
 
@@ -211,6 +224,11 @@ def _chunk_sum(chunks, term):
     return total
 
 
+def _take(flat, shape):
+    """A C-contiguous array of ``shape`` over the start of the flat scratch ``flat``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
 def _conv_same_pad(size: int, stride: int, kernel: int) -> tuple[int, int, int]:
     out = -(-size // stride)
     total = max((out - 1) * stride + kernel - size, 0)
@@ -235,6 +253,69 @@ def _weight_stack(w):
     return np.ascontiguousarray(stack.reshape(shifts * c_out, -1)), lowered
 
 
+class _ConvLayer(NamedTuple):
+    """One 3x3 'same' convolution, strided by CONV_FREQ_STRIDE on frequency, on (C, bins, frames) input.
+
+    Its input is held padded, ``(channels, padded_bins, frames + 2)``, with
+    the unpadded input at rows ``pad .. pad + bins`` and columns
+    ``1 .. frames + 1``.
+    """
+
+    stack: np.ndarray  # the kernel from _weight_stack
+    lowered: int
+    bias: np.ndarray  # (C_out, 1, 1)
+    channels: int  # input channels
+    bins: int
+    out_bins: int
+    pad: int
+    padded_bins: int
+
+    def padded_shape(self, frames: int) -> tuple[int, int, int]:
+        return self.channels, self.padded_bins, frames + 2
+
+    def interior(self, xp):
+        """The unpadded input inside a padded input ``xp``."""
+        return xp[:, self.pad : self.pad + self.bins, 1:-1]
+
+    def zero_border(self, xp) -> None:
+        """Zero the padding of ``xp``, leaving its interior as it is."""
+        xp[:, : self.pad] = 0
+        xp[:, self.pad + self.bins :] = 0
+        xp[:, :, 0] = 0
+        xp[:, :, -1] = 0
+
+
+def _conv_layer(w, b, bins: int) -> _ConvLayer:
+    out_bins, pad, pad_after = _conv_same_pad(bins, CONV_FREQ_STRIDE, CONV_KERNEL)
+    stack, lowered = _weight_stack(w)
+    return _ConvLayer(stack, lowered, b[:, None, None], w.shape[1], bins, out_bins, pad, bins + pad + pad_after)
+
+
+def _tile_work(plan, frames: int) -> dict[str, int]:
+    """Flat sizes of the time-tile buffers that any layer of ``plan`` needs on ``frames`` frames.
+
+    ``cols`` takes a tile's lowered input, ``z`` its product with the stack
+    (and in backward the tile's shifted blocks of ``dy``), ``rows`` the
+    stack gradient's per-frequency-row products.
+    """
+    sizes = {"cols": 0, "z": 0, "rows": 0}
+    for layer in plan:
+        tile_cols = layer.out_bins * (min(CONV_TILE, frames) + CONV_KERNEL - layer.lowered)
+        sizes["cols"] = max(sizes["cols"], layer.stack.shape[1] * tile_cols)
+        sizes["z"] = max(sizes["z"], layer.stack.shape[0] * tile_cols)
+        sizes["rows"] = max(sizes["rows"], layer.out_bins * layer.stack.size)
+    return sizes
+
+
+def _conv_plan(params, bins: int) -> list[_ConvLayer]:
+    """Every conv layer of the network on ``bins`` input bins, in order."""
+    plan = []
+    for i in range(CONV_LAYERS):
+        plan.append(_conv_layer(params[f"conv{i}_w"], params[f"conv{i}_b"], bins))
+        bins = plan[-1].out_bins
+    return plan
+
+
 def _windows(stride_f, f_out, lowered):
     """(lowered row, frequency rows, time offset) of each lowered tap in a padded (C, F, W) clip."""
     for ki in range(CONV_KERNEL):
@@ -247,106 +328,104 @@ def _lower(xp_clip, j0, span, lowered, stride_f, f_out, buf):
     """Lower one time tile of a padded (C, F, W) clip into ``buf``.
 
     Returns the (C * 3 * lowered, F_out * span) view whose row (c, ki, a) and
-    column (i, j) hold ``xp_clip[c, ki + stride_f * i, j0 + a + j]``.
+    column (i, j) hold ``xp_clip[c, ki + stride_f * i, j0 + a + j]``. It is
+    filled by one copy from a strided view of the clip: on a lane, each NumPy
+    call that releases the interpreter lock costs a hand-over of the lock.
+    The tile must lie inside the clip: ``2 + stride_f * (f_out - 1) < F``
+    and ``j0 + lowered - 1 + span <= W``.
     """
-    rows_per_channel = CONV_KERNEL * lowered
-    cols = buf[: xp_clip.shape[0] * rows_per_channel * f_out * span].reshape(-1, rows_per_channel, f_out, span)
-    for r, rows, a in _windows(stride_f, f_out, lowered):
-        cols[:, r] = xp_clip[:, rows, j0 + a : j0 + a + span]
+    s_c, s_f, s_w = xp_clip.strides
+    shape = (xp_clip.shape[0], CONV_KERNEL, lowered, f_out, span)
+    taps = np.lib.stride_tricks.as_strided(
+        xp_clip[:, :, j0:], shape, (s_c, s_f, s_w, stride_f * s_f, s_w), writeable=False
+    )
+    cols = _take(buf, shape)
+    cols[...] = taps
     return cols.reshape(-1, f_out * span)
 
 
-def _conv_forward(x, w, b, stride_f):
-    """3x3 'same' convolution of one clip's (C, F, frames) input, strided on F.
+def _conv_tile(xp, layer: _ConvLayer, y, j0: int, work):
+    """Output frames ``j0 .. j0 + CONV_TILE`` of ``layer`` on the padded input ``xp`` into ``y``.
 
-    The padded input is lowered one time tile at a time, the last tile
-    ending at the clip's length, into buffers allocated once per call, so
-    memory does not grow with the clip. Each tile is one GEMM against
-    :func:`_weight_stack`; the cache keeps the padded input for backward to
-    lower again.
+    The tile's padded input is lowered into ``work["cols"]`` and multiplied
+    by the stack into ``work["z"]``, one GEMM whose shifted row blocks are
+    added; the tile of ``y`` is returned. A clip's last tile ends at its
+    length, so no work is spent past it.
     """
-    _, f, width = x.shape
-    c_out = w.shape[0]
-    f_out, pf0, pf1 = _conv_same_pad(f, stride_f, CONV_KERNEL)
-    xp = np.pad(x, ((0, 0), (pf0, pf1), (1, 1)))
-    stack, lowered = _weight_stack(w)
-    halo = CONV_KERNEL - lowered
-    tile_cols = f_out * (min(CONV_TILE, width) + halo)
-    cols_buf = np.empty(stack.shape[1] * tile_cols, dtype=x.dtype)
-    z_buf = np.empty(stack.shape[0] * tile_cols, dtype=x.dtype)
-    y = np.empty((c_out, f_out, width), dtype=x.dtype)
-    bias = b[:, None, None]
-    for j0 in range(0, width, CONV_TILE):
-        t = min(CONV_TILE, width - j0)
-        span = t + halo
-        cols = _lower(xp, j0, span, lowered, stride_f, f_out, cols_buf)
-        z = np.matmul(stack, cols, out=z_buf[: stack.shape[0] * cols.shape[1]].reshape(len(stack), -1))
-        z = z.reshape(-1, c_out, f_out, span)
-        out = np.add(z[0, ..., :t], bias, out=y[:, :, j0 : j0 + t])
-        for s in range(1, len(z)):
-            out += z[s, ..., s * lowered : s * lowered + t]
-    return y, (xp, f, pf0, stride_f)
+    c_out, f_out, width = y.shape
+    t = min(CONV_TILE, width - j0)
+    span = t + CONV_KERNEL - layer.lowered
+    stack, lowered = layer.stack, layer.lowered
+    cols = _lower(xp, j0, span, lowered, CONV_FREQ_STRIDE, f_out, work["cols"])
+    z = np.matmul(stack, cols, out=_take(work["z"], (len(stack), cols.shape[1])))
+    z = z.reshape(-1, c_out, f_out, span)
+    out = np.add(z[0, ..., :t], layer.bias, out=y[:, :, j0 : j0 + t])
+    for s in range(1, len(z)):
+        out += z[s, ..., s * lowered : s * lowered + t]
+    return out
 
 
-def _conv_backward(dy, w, cache, input_grad=True):
-    """Gradients of :func:`_conv_forward`, lowering the cached padded input again per tile.
+def _conv_backward(dy, layer: _ConvLayer, xp, dxp, work):
+    """Gradients ``(dw, db)`` of ``layer`` on the padded input ``xp``, lowering it again per tile.
 
     The stack's gradient is each tile's ``dy``, copied at every time shift
     into a halo-wide row block, against the tile's lowering, as one product
     per frequency row, so that each product reduces over one tile's frames;
-    tiles are added in order. The input gradient is one GEMM of the
-    transposed stack against those blocks, scattered over the lowered taps'
-    windows.
+    tiles are added in order. Unless ``dxp`` is None, the padded input's
+    gradient is written into it: one GEMM of the transposed stack against
+    those blocks per tile, scattered over the lowered taps' windows. The
+    lowering, the blocks, their products and the per-row products go through
+    ``work``'s buffers of :func:`_tile_work`; ``cols`` takes the lowering,
+    then its gradient.
     """
-    xp, f, pf0, stride_f = cache
-    c_in = xp.shape[0]
+    stack, lowered = layer.stack, layer.lowered
     c_out, f_out, width = dy.shape
-    stack, lowered = _weight_stack(w)
     halo = CONV_KERNEL - lowered
-    tile_cols = f_out * (min(CONV_TILE, width) + halo)
-    cols_buf = np.empty(stack.shape[1] * tile_cols, dtype=xp.dtype)
-    dz_buf = np.empty(stack.shape[0] * tile_cols, dtype=xp.dtype)
-    dcols_buf = np.empty(stack.shape[1] * tile_cols, dtype=xp.dtype) if input_grad else None
-    row_dstacks = np.empty((f_out, *stack.shape), dtype=xp.dtype)
+    row_dstacks = _take(work["rows"], (f_out, *stack.shape))
     dstack = np.zeros_like(stack)
-    dxp = np.zeros_like(xp) if input_grad else None
+    if dxp is not None:
+        dxp.fill(0)
     for j0 in range(0, width, CONV_TILE):
         t = min(CONV_TILE, width - j0)
         span = t + halo
-        cols = _lower(xp, j0, span, lowered, stride_f, f_out, cols_buf)
-        dz = dz_buf[: stack.shape[0] * cols.shape[1]].reshape(-1, c_out, f_out, span)
-        for s in range(len(dz)):
-            shift = s * lowered
-            dz[s, ..., :shift] = 0
-            dz[s, ..., shift : shift + t] = dy[:, :, j0 : j0 + t]
-            dz[s, ..., shift + t :] = 0
+        cols = _lower(xp, j0, span, lowered, CONV_FREQ_STRIDE, f_out, work["cols"])
+        # block s holds the tile's dy at columns s * lowered .. s * lowered + t
+        # and zeros around it: one fill and one copy through a strided view
+        dz = _take(work["z"], (len(stack) // c_out, c_out, f_out, span))
+        if halo:
+            dz.fill(0)
+        shifted = np.lib.stride_tricks.as_strided(
+            dz, (*dz.shape[:3], t), (dz.strides[0] + lowered * dz.strides[3], *dz.strides[1:])
+        )
+        shifted[...] = dy[:, :, j0 : j0 + t]
         dz = dz.reshape(len(stack), f_out, span)
         np.matmul(dz.transpose(1, 0, 2), cols.reshape(-1, f_out, span).transpose(1, 2, 0), out=row_dstacks)
         dstack += row_dstacks.sum(axis=0)
-        if input_grad:
-            dcols = np.matmul(stack.T, dz.reshape(len(stack), -1), out=dcols_buf[: cols.size].reshape(cols.shape))
-            dcols = dcols.reshape(c_in, -1, f_out, span)
-            for r, rows, a in _windows(stride_f, f_out, lowered):
+        if dxp is not None:
+            # the lowering is spent, so its buffer takes the lowered gradient
+            dcols = np.matmul(stack.T, dz.reshape(len(stack), -1), out=_take(work["cols"], cols.shape))
+            dcols = dcols.reshape(layer.channels, -1, f_out, span)
+            for r, rows, a in _windows(CONV_FREQ_STRIDE, f_out, lowered):
                 dxp[:, rows, j0 + a : j0 + a + span] += dcols[:, r]
     shifts = CONV_KERNEL // lowered
-    dw = dstack.reshape(shifts, c_out, c_in, CONV_KERNEL, lowered).transpose(1, 2, 3, 0, 4).reshape(w.shape)
-    dx = dxp[:, pf0 : pf0 + f, 1 : 1 + width] if input_grad else None
+    dw = dstack.reshape(shifts, c_out, layer.channels, CONV_KERNEL, lowered).transpose(1, 2, 3, 0, 4)
     db = _chunk_sum(_time_chunks(width), lambda r: dy[r].sum(axis=(1, 2)))
-    return dx, dw, db
+    return dw.reshape(c_out, layer.channels, CONV_KERNEL, CONV_KERNEL), db
 
 
-def _bn_forward(x, gamma, beta, mean, var, channel_axis, train):
+def _bn_forward(x, gamma, beta, mean, var, channel_axis, train, out=None):
     """Normalize with the running statistics, overwriting ``x``.
 
     ``x`` becomes the normalized input: the train-mode cache, or in eval
-    mode the output itself, so eval keeps no cache.
+    mode the output itself, so eval keeps no cache. Given ``out``, the
+    output is written there.
     """
     shape = [1] * x.ndim
     shape[channel_axis] = -1
     inv = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
     x -= mean.reshape(shape)
     x *= inv
-    y = x * gamma.reshape(shape) if train else np.multiply(x, gamma.reshape(shape), out=x)
+    y = np.multiply(x, gamma.reshape(shape), out=x if out is None and not train else out)
     y += beta.reshape(shape)
     if not train:
         return y, None
@@ -354,19 +433,39 @@ def _bn_forward(x, gamma, beta, mean, var, channel_axis, train):
     return y, (x, inv, gamma, channel_axis, reduce_axes)
 
 
-def _bn_backward(dy, cache, chunks):
+def _bn_backward(dy, cache, chunks, scratch=None):
     """Gradients of a train-mode :func:`_bn_forward`; ``dy`` becomes the input gradient.
 
-    ``chunks`` index the clips' frames in ``dy``, as :func:`_chunk_sum` sums them.
+    ``chunks`` index the clips' frames in ``dy``, as :func:`_chunk_sum` sums
+    them; each chunk's product of ``dy`` and the normalized input goes into
+    ``scratch`` when it is given.
     """
     xhat, inv, gamma, channel_axis, reduce_axes = cache
     shape = [1] * dy.ndim
     shape[channel_axis] = -1
-    dgamma = _chunk_sum(chunks, lambda r: (dy[r] * xhat[r]).sum(axis=reduce_axes))
+
+    def dgamma_term(r):
+        out = None if scratch is None else _take(scratch, dy[r].shape)
+        return np.multiply(dy[r], xhat[r], out=out).sum(axis=reduce_axes)
+
+    dgamma = _chunk_sum(chunks, dgamma_term)
     dbeta = _chunk_sum(chunks, lambda r: dy[r].sum(axis=reduce_axes))
     dy *= gamma.reshape(shape)
     dy *= inv
     return dy, dgamma, dbeta
+
+
+def _moments(x, scratch):
+    """``(x.mean(axis=(1, 2)), x.var(axis=(1, 2)))`` of a (C, F, W) array, bitwise.
+
+    The squared deviations, which ``var`` would allocate, go into
+    ``scratch``; the steps are those of NumPy's ``var``.
+    """
+    mean = x.mean(axis=(1, 2))
+    dev = np.subtract(x, mean[:, None, None], out=_take(scratch, x.shape))
+    np.multiply(dev, dev, out=dev)
+    var = dev.sum(axis=(1, 2))
+    return mean, np.true_divide(var, np.intp(x[0].size), out=var, casting="unsafe")
 
 
 def _lstm_forward(xp, wh):
@@ -491,18 +590,39 @@ def _time_major(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return to_time, to_packed
 
 
-def _bilstm_forward(x, params, name, steps, order):
+def _row_halves(rows: int, inner: int, cols: int) -> list[slice]:
+    """The row blocks of a ``(rows, inner) @ (inner, cols)`` product that run as items on the lanes.
+
+    Two halves when each holds more than 2**20 multiply-adds, else the whole:
+    OpenBLAS takes another kernel for products of up to about a million
+    multiply-adds, which can round differently from the whole product's.
+    Above that, each output row is the same bits in a half as in the whole.
+    """
+    half = rows // 2
+    if half * inner * cols <= 2**20:
+        return [slice(0, rows)]
+    return [slice(0, half), slice(half, rows)]
+
+
+def _matmul_rows(a, b, out, n_lanes: int):
+    """``a @ b`` into ``out``, which the calling thread allocates, its row halves on the lanes."""
+    parts = _row_halves(*a.shape, b.shape[1])
+    lanes.run(len(parts), lambda i: np.matmul(a[parts[i]], b, out=out[parts[i]]), n_lanes)
+    return out
+
+
+def _bilstm_forward(x, params, name, steps, order, n_lanes):
     """Bidirectional layer over packed (rows, I) input; ``order`` from :func:`_time_major`."""
     to_time, to_packed = order
     wx = np.concatenate([params[f"{name}_fwd_wx"], params[f"{name}_bwd_wx"]], axis=1)
     b = np.concatenate([params[f"{name}_fwd_b"], params[f"{name}_bwd_b"]])
     wh = np.stack([params[f"{name}_fwd_wh"], params[f"{name}_bwd_wh"]])
     h_units = wh.shape[1]
-    # one projection for both directions, then the zero row that padded
-    # steps read, gathered straight into time-major, gate-major
-    # (T, 4, 2, B, H) order
+    # one projection for both directions, its row halves on the lanes, then
+    # the zero row that padded steps read, gathered straight into
+    # time-major, gate-major (T, 4, 2, B, H) order
     proj = np.empty((len(x) + 1, wx.shape[1]), dtype=x.dtype)
-    np.matmul(x, wx, out=proj[:-1])
+    _matmul_rows(x, wx, proj[:-1], n_lanes)
     proj[:-1] += b
     proj[-1] = 0
     proj = proj.reshape(-1, h_units)[to_time[:, None] * 4 + np.arange(4)[:, None, None]]
@@ -511,7 +631,12 @@ def _bilstm_forward(x, params, name, steps, order):
     return y, (cache, name, steps, to_packed, x, wx)
 
 
-def _bilstm_backward(dy, cache, grads, chunks):
+def _bilstm_backward(dy, cache, grads, chunks, n_lanes):
+    """Gradients of :func:`_bilstm_forward` into ``grads``; returns the input gradient.
+
+    One run of the lanes takes each direction's ``dwx``, a sum of chunk
+    products in chunk order, and the row halves of the input gradient.
+    """
     lstm_cache, name, steps, to_packed, x, wx = cache
     h_units = dy.shape[1] // 2
     # scattered into time-major slots whose padding stays zero
@@ -519,14 +644,29 @@ def _bilstm_backward(dy, cache, grads, chunks):
     dh.reshape(-1, h_units)[to_packed.ravel()] = dy.reshape(-1, h_units)
     dz, dwh = _lstm_backward(dh, lstm_cache, steps)
     dproj = dz.reshape(-1, 4 * h_units)[to_packed].reshape(len(x), -1)
-    dwx = _chunk_sum(chunks, lambda r: x[r].T @ dproj[r])
+    dwx = [np.empty((x.shape[1], 4 * h_units), dtype=dy.dtype) for _ in range(2)]
+    products = np.empty((n_lanes, *dwx[0].shape), dtype=dy.dtype)
+    dx = np.empty(x.shape, dtype=dy.dtype)
+    parts = _row_halves(len(x), dproj.shape[1], len(wx))
+
+    def item(i):
+        if i >= 2:
+            rows = parts[i - 2]
+            np.matmul(dproj[rows], wx.T, out=dx[rows])
+            return
+        # a direction's chunk products, summed in chunk order as _chunk_sum does
+        cols = slice(4 * h_units * i, 4 * h_units * (i + 1))
+        np.matmul(x[chunks[0]].T, dproj[chunks[0], cols], out=dwx[i])
+        for r in chunks[1:]:
+            dwx[i] += np.matmul(x[r].T, dproj[r, cols], out=products[i % n_lanes])
+
+    lanes.run(2 + len(parts), item, n_lanes)
     db = _chunk_sum(chunks, lambda r: dproj[r].sum(axis=0))
     for d, direction in enumerate(("fwd", "bwd")):
-        cols = slice(4 * h_units * d, 4 * h_units * (d + 1))
-        grads[f"{name}_{direction}_wx"] = dwx[:, cols]
+        grads[f"{name}_{direction}_wx"] = dwx[d]
         grads[f"{name}_{direction}_wh"] = dwh[d]
-        grads[f"{name}_{direction}_b"] = db[cols]
-    return dproj @ wx.T
+        grads[f"{name}_{direction}_b"] = db[4 * h_units * d : 4 * h_units * (d + 1)]
+    return dx
 
 
 def frame_double(features: np.ndarray) -> np.ndarray:
@@ -549,17 +689,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _drop_units(views, rngs, p: float) -> None:
+def _drop_units(views, rngs, p: float, draws=None, hits=None) -> None:
     """Clear the dropped units in each clip's boolean keep view, one generator per clip.
 
     A unit stays where ``rng.random(view.shape) >= p``. A (C, F, T) conv
-    view draws one channel at a time: in C order that is the same stream as
-    one draw of the whole view, and the float draws never take more memory
-    than a channel.
+    view draws DRAW_CHANNELS channels at a time: in C order that is the same
+    stream as one draw of the whole view, and the float draws take no more
+    memory than those channels. The draws and their comparison go into the
+    float64 scratch ``draws`` and the boolean scratch ``hits`` when they are
+    given.
     """
     for view, rng in zip(views, rngs):
-        for block in view if view.ndim > 2 else (view,):
-            block &= rng.random(block.shape) >= p
+        blocks = [view[c : c + DRAW_CHANNELS] for c in range(0, len(view), DRAW_CHANNELS)] if view.ndim > 2 else [view]
+        for block in blocks:
+            u = rng.random(block.shape, out=None if draws is None else _take(draws, block.shape))
+            block &= np.greater_equal(u, p, out=None if hits is None else _take(hits, block.shape))
 
 
 def _apply_keep(x, keep, scale):
@@ -575,33 +719,186 @@ def _apply_keep(x, keep, scale):
     return x
 
 
-def _keep_grad(dx, keep, scale):
-    """``dx * (keep * scale)`` as a new array in the C order of ``keep``.
+def _keep_grad(dx, keep, scale, out=None):
+    """``dx * (keep * scale)`` in the C order of ``keep``, into ``out`` when it is given.
 
     After the conv stages ``dx`` is a transposed view; the batch-norm and
     bias gradient sums read the product, and their rounding depends on its
     layout.
     """
-    mask = np.multiply(keep, scale, dtype=dx.dtype)
+    mask = np.multiply(keep, scale, dtype=dx.dtype, out=out)
     return np.multiply(mask, dx, out=mask)
 
 
-def _conv_stage(x, t, layer, train, rng, p, scale):
-    """One conv layer on one clip's (C, F, frames) array: convolution, batch norm, ReLU, dropout.
+def _scratch(n_lanes: int, dtype, sizes: dict[str, int]) -> list[dict[str, np.ndarray]]:
+    """One set of flat scratch buffers per lane, allocated on the calling thread.
 
-    Returns the output, batch norm's input moments and the backward cache,
-    the last two None in eval mode; ``rng`` is None without dropout.
+    ``draws`` holds float64 dropout draws and ``hits`` booleans; the others
+    are of ``dtype``.
     """
-    x, conv_cache = _conv_forward(x, t[f"conv{layer}_w"], t[f"conv{layer}_b"], CONV_FREQ_STRIDE)
-    moments = (x.mean(axis=(1, 2)), x.var(axis=(1, 2))) if train else None
-    bn = (t[f"bn{layer}_gamma"], t[f"bn{layer}_beta"], t[f"bn{layer}_mean"], t[f"bn{layer}_var"])
-    x, bn_cache = _bn_forward(x, *bn, 0, train)
-    if not train:
-        return np.maximum(x, 0, out=x), None, None  # ReLU, with no mask to keep
-    keep = x > 0  # ReLU
-    if rng is not None:
-        _drop_units([keep], [rng], p)
-    return _apply_keep(x, keep, scale), moments, (conv_cache, bn_cache, keep)
+    dtypes = {"draws": np.float64, "hits": bool}
+    return [{name: np.empty(size, dtype=dtypes.get(name, dtype)) for name, size in sizes.items()} for _ in range(n_lanes)]
+
+
+def _balanced(widths) -> list[int]:
+    """Clip indices in the order they run as lane items.
+
+    The clips are sorted longest first, and every second pair after the
+    first is swapped, so the items at even and at odd positions (the two
+    lanes' shares) take the longest clips in turn: 1st, 4th, 5th, 8th ...
+    against 2nd, 3rd, 6th, 7th, nearly equal frames.
+    """
+    order = sorted(range(len(widths)), key=lambda k: -widths[k])
+    for i in range(2, len(order) - 1, 4):
+        order[i], order[i + 1] = order[i + 1], order[i]
+    return order
+
+
+def _eval_tile(xp, layer: _ConvLayer, bn, dest, j0: int, work) -> None:
+    """One time tile of an eval-mode conv layer: convolution, batch norm and ReLU, into ``dest``."""
+    tile = _conv_tile(xp, layer, dest, j0, work)
+    _bn_forward(tile, *bn, 0, False)
+    np.maximum(tile, 0, out=tile)
+
+
+def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_lanes):
+    """Every conv layer of every clip: convolution, batch norm, ReLU and, in train mode, dropout.
+
+    Clip k reads its (W, bins) ``frames[k]`` and writes its last layer's
+    output into ``outs[k]``, a (C, F, W) view of the packed rows. Each
+    layer's output goes straight into the interior of the next layer's
+    padded input. The clips are the items of the lanes, each running all of
+    its layers; a lone eval clip instead runs one layer at a time, its time
+    tiles the items. Every array a lane writes is allocated here: in train
+    mode each clip's padded inputs, convolution outputs (batch norm's
+    cache) and keep masks, which the returned caches hold, and per lane the
+    lowering, the products, the squared deviations of :func:`_moments` and
+    the dropout draws; in eval mode per lane the padded inputs as well.
+
+    Train mode returns each clip's ``(padded input, batch norm cache, keep)``
+    per layer and puts batch norm's input moments into ``moments[k]``.
+    """
+    dtype = outs[0].dtype
+    widths = [len(f) for f in frames]
+    width = max(widths)
+    bns = [tuple(params[f"bn{i}_{s}"] for s in ("gamma", "beta", "mean", "var")) for i in range(len(plan))]
+    sizes = _tile_work(plan, width)
+    outputs = max(CONV_FILTERS * l.out_bins * width for l in plan)
+
+    def dest(xps, i, out):
+        """Where layer i writes: the next layer's input, or the last layer's ``out``."""
+        return plan[i + 1].interior(xps[i + 1]) if i + 1 < len(plan) else out
+
+    if not train and len(frames) == 1:
+        xps = [np.empty(layer.padded_shape(width), dtype=dtype) for layer in plan]
+        works = _scratch(n_lanes, dtype, sizes)
+        plan[0].interior(xps[0])[0] = frames[0].T
+        tiles = range(0, width, CONV_TILE)
+        for i, layer in enumerate(plan):
+            layer.zero_border(xps[i])
+            out = dest(xps, i, outs[0])
+            lanes.run(len(tiles), lambda j: _eval_tile(xps[i], layer, bns[i], out, tiles[j], works[j % n_lanes]), n_lanes)
+        return None
+
+    if train:
+        arrays = [
+            [
+                (
+                    np.empty(layer.padded_shape(w), dtype=dtype),
+                    np.empty((CONV_FILTERS, layer.out_bins, w), dtype=dtype),
+                    np.empty((CONV_FILTERS, layer.out_bins, w), dtype=bool),
+                )
+                for layer in plan
+            ]
+            for w in widths
+        ]
+        # the tile products are spent when _moments runs, so their buffer
+        # takes its squared deviations
+        draws = DRAW_CHANNELS * max(l.out_bins for l in plan) * width
+        sizes.update(z=max(sizes["z"], outputs), draws=draws, hits=draws)
+    else:
+        sizes.update({f"xp{i}": math.prod(layer.padded_shape(width)) for i, layer in enumerate(plan)})
+    works = _scratch(n_lanes, dtype, sizes)
+    caches = [None] * len(frames)
+
+    def clip(item: int) -> None:
+        k = order[item]
+        work = works[item % n_lanes]
+        if train:
+            xps = [xp for xp, _, _ in arrays[k]]
+        else:
+            xps = [_take(work[f"xp{i}"], layer.padded_shape(widths[k])) for i, layer in enumerate(plan)]
+        plan[0].interior(xps[0])[0] = frames[k].T
+        layer_caches = []
+        for i, layer in enumerate(plan):
+            layer.zero_border(xps[i])
+            out = dest(xps, i, outs[k])
+            if not train:
+                for j0 in range(0, widths[k], CONV_TILE):
+                    _eval_tile(xps[i], layer, bns[i], out, j0, work)
+                continue
+            xp, y, keep = arrays[k][i]
+            for j0 in range(0, widths[k], CONV_TILE):
+                _conv_tile(xp, layer, y, j0, work)
+            moments[k][f"bn{i}"] = _moments(y, work["z"])
+            _, bn_cache = _bn_forward(y, *bns[i], 0, True, out=out)
+            np.greater(out, 0, out=keep)  # ReLU
+            if rngs[k] is not None:
+                _drop_units([keep], [rngs[k]], p, work["draws"], work["hits"])
+            _apply_keep(out, keep, scale)
+            layer_caches.append((xp, bn_cache, keep))
+        caches[k] = layer_caches
+
+    order = _balanced(widths)
+    lanes.run(len(frames), clip, n_lanes)
+    return caches if train else None
+
+
+def _conv_backward_clips(dx, plan, caches, scale, grads, n_lanes) -> None:
+    """Gradients of a train-mode :func:`_conv_forward` into ``grads``, given each clip's (C, F, W) ``dx``.
+
+    The clips are the items of the lanes, each running all of its layers,
+    last first; each parameter's gradient is then summed over the clips in
+    clip order. The keep-mask products, batch norm's chunk products and
+    :func:`_conv_backward`'s buffers come per lane from the calling thread.
+    A clip's caches are dropped once its item is done.
+    """
+    dtype = dx[0].dtype
+    width = max(d.shape[-1] for d in dx)
+    sizes = _tile_work(plan, width)
+    # batch norm's chunk products come before the convolution's tiles, so
+    # they share the buffer of the tiles' shifted blocks
+    products = max(CONV_FILTERS * l.out_bins * min(width, CHUNK_ROWS) for l in plan)
+    works = _scratch(n_lanes, dtype, {
+        **sizes,
+        "z": max(sizes["z"], products),
+        "d": max(CONV_FILTERS * l.out_bins * width for l in plan),
+        # the input spectrogram needs no gradient
+        "dxp": max([math.prod(l.padded_shape(width)) for l in plan[1:]], default=0),
+    })
+    clip_grads = [None] * len(dx)
+
+    def clip(item: int) -> None:
+        k = order[item]
+        work = works[item % n_lanes]
+        dy = dx[k]
+        parts = {}
+        for i in reversed(range(len(plan))):
+            xp, bn_cache, keep = caches[k][i]
+            d = _keep_grad(dy, keep, scale, _take(work["d"], keep.shape))
+            d, parts[f"bn{i}_gamma"], parts[f"bn{i}_beta"] = _bn_backward(
+                d, bn_cache, _time_chunks(d.shape[-1]), work["z"]
+            )
+            dxp = _take(work["dxp"], xp.shape) if i > 0 else None
+            parts[f"conv{i}_w"], parts[f"conv{i}_b"] = _conv_backward(d, plan[i], xp, dxp, work)
+            dy = plan[i].interior(dxp) if i > 0 else None
+        clip_grads[k] = parts
+        caches[k] = None
+
+    order = _balanced([d.shape[-1] for d in dx])
+    lanes.run(len(dx), clip, n_lanes)
+    for name in clip_grads[0]:
+        grads[name] = _chunk_sum([parts[name] for parts in clip_grads], lambda part: part)
 
 
 @dataclass(eq=False)
@@ -673,26 +970,18 @@ def forward(params: dict[str, np.ndarray], config: ModelConfig, specs: list, mod
     # train mode keeps a boolean mask per dropout stage, and one multiplier; a
     # division, as multiplying by 1 / (1 - p) would round differently
     scale = dtype.type(1) / dtype.type(1 - config.dropout_p)
+    n_lanes = lanes.count()
     # the conv stages run each clip's (C, F, frames) array as if alone: one
-    # contiguous block per clip measured faster than packed (C, F, frames)
-    clips = [np.ascontiguousarray(f.T, dtype=dtype)[None] for f in frames]
-    for i in range(CONV_LAYERS):
-        caches = []
-        for k, rng in enumerate(rngs):
-            clips[k], moments, cache = _conv_stage(clips[k], params, i, train, rng, config.dropout_p, scale)
-            if train:
-                bn_moments[k][f"bn{i}"] = moments
-                caches.append(cache)
-        if train:
-            stages.append(("conv", i, (caches, scale)))
-
-    # each clip's (C, F, frames) -> packed (frames, F*C) rows, feature index f * C + c
-    _, f_out, _ = clips[0].shape
+    # contiguous block per clip measured faster than packed (C, F, frames).
+    # The last one writes each clip's packed (frames, F*C) rows, feature
+    # index f * C + c
+    plan = _conv_plan(params, config.input_bins)
+    f_out = plan[-1].out_bins
     x = np.empty((int(lengths.sum()), f_out * CONV_FILTERS), dtype=dtype)
-    for clip, rows in zip(clips, _clip_rows(lengths)):
-        x[rows].reshape(-1, f_out, CONV_FILTERS)[...] = clip.transpose(2, 1, 0)
+    outs = [x[rows].reshape(-1, f_out, CONV_FILTERS).transpose(2, 1, 0) for rows in _clip_rows(lengths)]
+    caches = _conv_forward(params, plan, frames, outs, train, rngs, config.dropout_p, scale, bn_moments, n_lanes)
     if train:
-        stages.append(("flatten", None, (lengths, f_out)))
+        stages.append(("conv", None, (plan, caches, scale, lengths, f_out)))
 
     steps = lengths
     if config.frame_doubling:
@@ -701,7 +990,7 @@ def forward(params: dict[str, np.ndarray], config: ModelConfig, specs: list, mod
 
     order = _time_major(steps)
     for l in range(RECURRENT_LAYERS):
-        x = staged("bilstm", l, _bilstm_forward(x, params, f"rnn{l}", steps, order))
+        x = staged("bilstm", l, _bilstm_forward(x, params, f"rnn{l}", steps, order, n_lanes))
         if l < RECURRENT_LAYERS - 1:
             if train:
                 for moments, rows in zip(bn_moments, _clip_rows(steps)):
@@ -713,7 +1002,10 @@ def forward(params: dict[str, np.ndarray], config: ModelConfig, specs: list, mod
         _drop_units([keep[rows] for rows in _clip_rows(steps)], rngs, config.dropout_p)
         x = staged("mul", None, (_apply_keep(x, keep, scale), (keep, scale)))
 
-    x = staged("out", None, (x @ params["out_w"] + params["out_b"], x))
+    out_w = params["out_w"]
+    logits = _matmul_rows(x, out_w, np.empty((len(x), out_w.shape[1]), dtype=dtype), n_lanes)
+    logits += params["out_b"]
+    x = staged("out", None, (logits, x))
     log_probs = _log_softmax(x)
     grids = [log_probs[rows] for rows in _clip_rows(steps)]
     if not train:
@@ -739,6 +1031,7 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
         raise ValueError(f"upstream gradients of shapes {shapes} do not match the forward's grids")
     dx = np.concatenate(grad_logits, dtype=out_w.dtype)
     chunks = _row_chunks(cache.steps)
+    n_lanes = lanes.count()
     grads: dict[str, np.ndarray] = {}
     while cache.stages:
         # popping frees each stage's activations as soon as it is done
@@ -746,7 +1039,7 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
         if kind == "out":
             grads["out_w"] = _chunk_sum(chunks, lambda r: data[r].T @ dx[r])
             grads["out_b"] = _chunk_sum(chunks, lambda r: dx[r].sum(axis=0))
-            dx = dx @ out_w.T
+            dx = _matmul_rows(dx, out_w.T, np.empty((len(dx), out_w.shape[0]), dtype=dx.dtype), n_lanes)
         elif kind == "mul":
             dx = _keep_grad(dx, *data)
         elif kind == "bn":
@@ -754,25 +1047,13 @@ def backward(cache: TrainCache, grad_logits: list) -> dict[str, np.ndarray]:
             grads[f"{key}_gamma"] = dgamma
             grads[f"{key}_beta"] = dbeta
         elif kind == "bilstm":
-            dx = _bilstm_backward(dx, data, grads, chunks)
+            dx = _bilstm_backward(dx, data, grads, chunks, n_lanes)
         elif kind == "double":
             dx = frame_undouble(dx)
-        elif kind == "flatten":
-            lengths, f_out = data
-            dx = [dx[rows].reshape(-1, f_out, CONV_FILTERS).transpose(2, 1, 0) for rows in _clip_rows(lengths)]
         elif kind == "conv":
-            # clip by clip, each clip's gradient sums added in clip order
-            caches, scale = data
-            clip_grads = []
-            for k, (conv_cache, bn_cache, keep) in enumerate(caches):
-                d = _keep_grad(dx[k], keep, scale)
-                d, dgamma, dbeta = _bn_backward(d, bn_cache, _time_chunks(d.shape[-1]))
-                # the input spectrogram needs no gradient
-                dx[k], dw, db = _conv_backward(d, params[f"conv{key}_w"], conv_cache, input_grad=key > 0)
-                clip_grads.append((dw, db, dgamma, dbeta))
-            names = (f"conv{key}_w", f"conv{key}_b", f"bn{key}_gamma", f"bn{key}_beta")
-            for name, parts in zip(names, zip(*clip_grads)):
-                grads[name] = _chunk_sum(parts, lambda part: part)
+            plan, caches, scale, lengths, f_out = data
+            clips = [dx[rows].reshape(-1, f_out, CONV_FILTERS).transpose(2, 1, 0) for rows in _clip_rows(lengths)]
+            _conv_backward_clips(clips, plan, caches, scale, grads, n_lanes)
     return grads
 
 

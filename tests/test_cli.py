@@ -296,9 +296,12 @@ def test_train_resume_matches_uninterrupted(tmp_path):
 
 
 def test_train_checkpoint_does_not_depend_on_blas_thread_count(tmp_path):
-    # one epoch on the acceptance toy corpus and model, in two child
-    # processes that differ only in OPENBLAS_NUM_THREADS: every weight
-    # gradient sums bounded products over one clip's frames in a fixed order.
+    # one epoch on the acceptance toy corpus and model, in three child
+    # processes: OPENBLAS_NUM_THREADS=1 and =2, and =1 pinned to one CPU.
+    # Every weight gradient sums bounded products over one clip's frames in a
+    # fixed order, and the work splits into the same items whatever the lane
+    # count, so one BLAS thread on two lanes (where the host has two CPUs),
+    # on one lane, and two BLAS threads on one lane all train the same bits.
     # Each child trains on its own copy of the dataset, so each computes the
     # features (at its thread count) rather than reading the other's cache
     make_corpus(tmp_path / "corpus", n_scores=7, seed=1, two_voice_every=7, n_measures=9)
@@ -312,22 +315,23 @@ def test_train_checkpoint_does_not_depend_on_blas_thread_count(tmp_path):
     ids = sorted(s.id for s in cli.read_manifest(Path(config.out_dir) / cli.MANIFEST_FILENAME))
     src = str(Path(cli.__file__).parents[1])
     checkpoints = []
-    for threads in ("1", "2"):
-        data = tmp_path / f"data{threads}"
+    for name, threads, pin in (("1", "1", None), ("2", "2", None), ("1cpu", "1", {0})):
+        data = tmp_path / f"data{name}"
         shutil.copytree(config.out_dir, data)
         manifest = data / cli.MANIFEST_FILENAME
-        config_path = _write_config(tmp_path, checkpoint_dir=f"ckpt{threads}", **toy)
+        config_path = _write_config(tmp_path, checkpoint_dir=f"ckpt{name}", **toy)
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import sys; from polyscore import cli; sys.exit(cli.main(sys.argv[1:]))"
         run = subprocess.run(
             [sys.executable, "-c", code, "train", "--config", str(config_path), "--manifest", str(manifest)],
             env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=None if pin is None else lambda: os.sched_setaffinity(0, pin),
         )
         assert run.returncode == 0, run.stderr
         assert sorted(p.stem for p in (data / cli.FEATURES_DIRNAME).iterdir()) == ids
-        checkpoints.append((tmp_path / f"ckpt{threads}" / "last.ckpt").read_bytes())
-    assert checkpoints[0] == checkpoints[1]
+        checkpoints.append((tmp_path / f"ckpt{name}" / "last.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1] == checkpoints[2]
 
 
 def test_train_resume_after_failed_save_matches_uninterrupted(tmp_path, monkeypatch):

@@ -244,7 +244,7 @@ def _record_lanes(monkeypatch, lanes):
             barrier.wait()
         real(*args)
 
-    monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
+    monkeypatch.setattr(dsp.lanes, "count", lambda: 2)
     monkeypatch.setattr(dsp, "_band_magnitudes", band_magnitudes)
     return threads
 
@@ -254,7 +254,7 @@ def test_lanes_give_the_bits_of_one_lane(width, lanes, monkeypatch):
     # a single chunk runs on the calling thread alone; 65 and 129 frames end
     # in a one-frame chunk, 651 in an 11-frame one
     x = _clip(width, width)
-    monkeypatch.setattr(dsp, "_lane_count", lambda: 1)
+    monkeypatch.setattr(dsp.lanes, "count", lambda: 1)
     one_lane = dsp.stft_logfreq(x).frames
     threads = _record_lanes(monkeypatch, lanes)
     with_helper = dsp.stft_logfreq(x).frames
@@ -284,14 +284,14 @@ def test_helper_lane_only_beside_a_one_thread_blas_pool(cpus, env, lanes, monkey
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(dsp, "_cpu_count", lambda: cpus)
-    assert dsp._lane_count() == lanes
+    monkeypatch.setattr(dsp.lanes, "_cpu_count", lambda: cpus)
+    assert dsp.lanes.count() == lanes
 
 
 def test_concurrent_callers_get_the_bits_of_a_lone_call(monkeypatch):
     # three callers run at once, each on its own two lanes; every caller
     # returns with a lone call's bits
-    monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
+    monkeypatch.setattr(dsp.lanes, "count", lambda: 2)
     clips = [_clip(width, seed) for seed, width in enumerate((300, 129, 451))]
     alone = [dsp.stft_logfreq(x).frames.tobytes() for x in clips]
     interval = sys.getswitchinterval()
@@ -335,7 +335,7 @@ def test_two_lanes_join_their_helper_and_raise_its_error(failing, monkeypatch):
                 raise RuntimeError(f"{failing} lane failed")
         real(*args)
 
-    monkeypatch.setattr(dsp, "_lane_count", lambda: 2)
+    monkeypatch.setattr(dsp.lanes, "count", lambda: 2)
     monkeypatch.setattr(dsp, "_band_magnitudes", band_magnitudes)
     x = _clip(651, 5)
     if failing is None:
@@ -344,7 +344,22 @@ def test_two_lanes_join_their_helper_and_raise_its_error(failing, monkeypatch):
         with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
             dsp.stft_logfreq(x)
     assert len(lanes) == 2
-    assert not [t for t in threading.enumerate() if t.name.startswith("polyscore-stft")]
+    assert not [t for t in threading.enumerate() if t.name.startswith("polyscore-lane")]
+
+
+def test_a_helper_lane_that_cannot_start_gives_the_bits_of_one_lane(monkeypatch):
+    # at the process's thread limit Thread.start raises RuntimeError; the
+    # calling thread then computes the helper's chunks too
+    x = _clip(651, 6)
+    monkeypatch.setattr(dsp.lanes, "count", lambda: 1)
+    one_lane = dsp.stft_logfreq(x).frames
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(dsp.lanes, "count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert dsp.stft_logfreq(x).frames.tobytes() == one_lane.tobytes()
 
 
 def test_one_lane_process_does_not_load_concurrent_futures():

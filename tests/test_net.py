@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -552,15 +553,23 @@ def test_conv_matches_direct_sum(dtype, rtol, c_in, bins):
     dy = rng.normal(size=(2, net.CONV_FILTERS, -(-bins // 2), width))
     dy[1, :, :, lengths[1] :] = 0.0
     y_ref, dx_ref, dw_ref, db_ref = _reference_conv(x, w, b, dy)
+    layer = net._conv_layer(w.astype(dtype), b.astype(dtype), bins)
     dw_sum = db_sum = 0
     for k, length in enumerate(lengths):
-        clip = x[k, ..., :length].astype(dtype)
-        y, cache = net._conv_forward(clip, w.astype(dtype), b.astype(dtype), 2)
-        dx, dw, db = net._conv_backward(dy[k, ..., :length].astype(dtype), w.astype(dtype), cache)
+        xp = np.empty(layer.padded_shape(length), dtype=dtype)
+        layer.interior(xp)[...] = x[k, ..., :length]
+        layer.zero_border(xp)
+        [work] = net._scratch(1, dtype, net._tile_work([layer], length))
+        y = np.empty((net.CONV_FILTERS, layer.out_bins, length), dtype=dtype)
+        for j0 in range(0, length, net.CONV_TILE):
+            net._conv_tile(xp, layer, y, j0, work)
+        dxp = np.empty_like(xp)
+        dw, db = net._conv_backward(dy[k, ..., :length].astype(dtype), layer, xp, dxp, work)
+        dx = layer.interior(dxp)
         for actual, expected in ((y, y_ref[k, ..., :length]), (dx, dx_ref[k, ..., :length])):
             assert actual.dtype == dtype and actual.shape == expected.shape
             assert _close(actual, expected, rtol)
-        _, dw_only, _ = net._conv_backward(dy[k, ..., :length].astype(dtype), w.astype(dtype), cache, input_grad=False)
+        dw_only, _ = net._conv_backward(dy[k, ..., :length].astype(dtype), layer, xp, None, work)
         assert np.array_equal(dw_only, dw)
         dw_sum, db_sum = dw_sum + dw, db_sum + db
     for actual, expected in ((dw_sum, dw_ref), (db_sum, db_ref)):
@@ -779,3 +788,134 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     assert state["epoch"] == 1
     for name, arr in params.items():
         assert np.array_equal(loaded[name], arr), name
+
+
+_RUN = net.lanes.run
+
+
+def _lane_threads(monkeypatch, n_lanes):
+    """Force the lane count; returns the set of names of the threads that run a lane item."""
+    threads = set()
+
+    def run(n, work, lanes):
+        def recorded(i):
+            threads.add(threading.current_thread().name)
+            work(i)
+
+        _RUN(n, recorded, lanes)
+
+    monkeypatch.setattr(net.lanes, "count", lambda: n_lanes)
+    monkeypatch.setattr(net.lanes, "run", run)
+    return threads
+
+
+def _everything(config, params, clips, seeds, targets):
+    """The bytes of an eval forward, a train forward with its moments, its
+    backward, and two train steps' losses, parameters and velocities."""
+    out = [g.tobytes() for g in net.forward(params, config, clips, mode="eval")]
+    grids, cache = net.forward(params, config, clips, mode="train", rng_seed=seeds)
+    out += [g.tobytes() for g in grids]
+    out += [m[name][i].tobytes() for m in cache.bn_moments for name in sorted(m) for i in (0, 1)]
+    grads = net.backward(cache, [np.cos(np.arange(g.size)).reshape(g.shape) for g in grids])
+    out += [grads[name].tobytes() for name in sorted(grads)]
+    trained = {name: a.copy() for name, a in params.items()}
+    velocity = net.zero_velocity(trained)
+    for _ in range(2):
+        losses, skipped = net.train_step(trained, velocity, config, clips, targets, seeds, 1e-3)
+        assert not skipped
+        out.append(np.array(losses).tobytes())
+    return out + [a.tobytes() for state in (trained, velocity) for _, a in sorted(state.items())]
+
+
+@pytest.mark.parametrize("widths", [(1,), (64, 1), (129, 300, 64), (300, 1, 129, 64)])
+@pytest.mark.parametrize("doubling", [False, True])
+def test_results_do_not_depend_on_the_lane_count(widths, doubling, monkeypatch):
+    # one clip to four, of 1, 64, 129 and 300 frames: across the conv time
+    # tile and the gradient chunk, at a size where the row halves of the
+    # large products run as two items
+    config = net.ModelConfig(vocab_size=25, hidden_units=64, frame_doubling=doubling)
+    params = net.init_params(config, seed=len(widths))
+    rng = np.random.default_rng(len(widths))
+    clips = [rng.random((w, 240)).astype(np.float32) for w in widths]
+    targets = [[(k + j) % 24 + 1 for j in range(min(w, 5))] for k, w in enumerate(widths)]
+    seeds = [11 + k for k in range(len(widths))]
+    _lane_threads(monkeypatch, 1)
+    one_lane = _everything(config, params, clips, seeds, targets)
+    threads = _lane_threads(monkeypatch, 2)
+    assert _everything(config, params, clips, seeds, targets) == one_lane
+    assert threads == {"MainThread", "polyscore-lane"}
+
+
+def test_a_long_eval_clip_does_not_depend_on_the_lane_count(monkeypatch):
+    # a lone eval clip runs each conv layer's six time tiles as lane items
+    config = net.ModelConfig(vocab_size=64)
+    params = net.init_params(config, seed=7)
+    clip = np.random.default_rng(7).random((700, 240)).astype(np.float32)
+    _lane_threads(monkeypatch, 1)
+    [one_lane] = net.forward(params, config, [clip], mode="eval")
+    threads = _lane_threads(monkeypatch, 2)
+    [two_lanes] = net.forward(params, config, [clip], mode="eval")
+    assert two_lanes.tobytes() == one_lane.tobytes()
+    assert threads == {"MainThread", "polyscore-lane"}
+
+
+def test_a_helper_lane_that_cannot_start_gives_the_bits_of_one_lane(monkeypatch):
+    config = net.ModelConfig(vocab_size=25, hidden_units=64, frame_doubling=False)
+    params = net.init_params(config, seed=8)
+    rng = np.random.default_rng(8)
+    clips = [rng.random((w, 240)).astype(np.float32) for w in (90, 65, 120)]
+    targets = [[1, 2, 3], [4, 5], [6, 7, 8]]
+    _lane_threads(monkeypatch, 1)
+    one_lane = _everything(config, params, clips, [1, 2, 3], targets)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    threads = _lane_threads(monkeypatch, 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert _everything(config, params, clips, [1, 2, 3], targets) == one_lane
+    assert threads == {"MainThread"}
+
+
+@pytest.mark.parametrize("failing", [None, "helper", "caller"])
+def test_two_lanes_join_their_helper_and_raise_its_error(failing, monkeypatch):
+    # each lane waits inside its first conv tile until the other holds one,
+    # then the failing lane raises; its error reaches the caller, and no
+    # helper thread outlives the call, however it returns
+    barrier = threading.Barrier(2, timeout=10)
+    lanes = set()
+    caller = threading.current_thread()
+    real = net._conv_tile
+
+    def conv_tile(*args):
+        lane = threading.current_thread()
+        if lane not in lanes:
+            lanes.add(lane)
+            barrier.wait()
+            if failing == ("caller" if lane is caller else "helper"):
+                raise RuntimeError(f"{failing} lane failed")
+        return real(*args)
+
+    monkeypatch.setattr(net.lanes, "count", lambda: 2)
+    monkeypatch.setattr(net, "_conv_tile", conv_tile)
+    config = net.ModelConfig(vocab_size=25, hidden_units=64, frame_doubling=False)
+    params = net.init_params(config, seed=9)
+    clips = [np.random.default_rng(k).random((w, 240)).astype(np.float32) for k, w in enumerate((70, 50, 60, 40))]
+    if failing is None:
+        grids, _ = net.forward(params, config, clips, mode="train", rng_seed=[1, 2, 3, 4])
+        assert [len(g) for g in grids] == [70, 50, 60, 40]
+    else:
+        with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
+            net.forward(params, config, clips, mode="train", rng_seed=[1, 2, 3, 4])
+    assert len(lanes) == 2
+    assert not [t for t in threading.enumerate() if t.name.startswith("polyscore-lane")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(16, 120, 1), (16, 120, 65), (16, 60, 300), (3, 5, 7)])
+def test_moments_are_the_bits_of_mean_and_var(dtype, shape):
+    x = np.random.default_rng(shape[-1]).normal(3.0, 2.0, size=shape).astype(dtype)
+    scratch = np.empty(x.size + 5, dtype=dtype)
+    mean, var = net._moments(x, scratch)
+    assert mean.tobytes() == x.mean(axis=(1, 2)).tobytes()
+    assert var.tobytes() == x.var(axis=(1, 2)).tobytes()
