@@ -877,6 +877,45 @@ def test_a_helper_lane_that_cannot_start_gives_the_bits_of_one_lane(monkeypatch)
     assert threads == {"MainThread"}
 
 
+def test_concurrent_callers_get_the_bits_of_a_lone_call(monkeypatch):
+    # three callers each run a train forward and backward on their own two
+    # lanes at once, the interpreter switching threads often; the lanes of
+    # a call write disjoint slots of its lists and arrays, so every caller
+    # returns with a lone call's bits
+    monkeypatch.setattr(net.lanes, "count", lambda: 2)
+    config = net.ModelConfig(vocab_size=25, hidden_units=64, frame_doubling=False)
+    params = net.init_params(config, seed=10)
+    rng = np.random.default_rng(10)
+    batches = [[rng.random((w, 240)).astype(np.float32) for w in widths] for widths in ((90, 30, 129), (64, 1), (300,))]
+
+    def step(clips):
+        grids, cache = net.forward(params, config, clips, mode="train", rng_seed=list(range(len(clips))))
+        grads = net.backward(cache, [np.cos(np.arange(g.size)).reshape(g.shape) for g in grids])
+        return [g.tobytes() for g in grids] + [grads[name].tobytes() for name in sorted(grads)]
+
+    alone = [step(clips) for clips in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            start = threading.Barrier(len(batches), timeout=10)
+            results = [None] * len(batches)
+
+            def call(i):
+                start.wait()
+                results[i] = step(batches[i])
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == alone
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("failing", [None, "helper", "caller"])
 def test_two_lanes_join_their_helper_and_raise_its_error(failing, monkeypatch):
     # each lane waits inside its first conv tile until the other holds one,
