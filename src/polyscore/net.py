@@ -27,13 +27,12 @@ loss gradient to it.
 The network uses the lanes of :mod:`polyscore.lanes`, as many as
 :func:`polyscore.lanes.count` allows (two beside a one-thread OpenBLAS pool
 on two or more CPUs). Their items are each clip's whole conv stack, forward
-and backward (a lone eval clip's conv time tiles instead, one layer at a
-time), the row halves of the large products (:func:`_row_halves`) and each
-direction's ``dwx``. The work splits into the same items whatever the lane
-count, so every result is bitwise the same with one lane or two. Every
-array larger than a small transient that a lane writes is allocated by the
-calling thread and handed in, and lanes call only this module's internals
-and NumPy.
+and backward, the row halves of the large products (:func:`_row_halves`),
+and in each BiLSTM layer's backward ``dwx`` beside the input gradient. The
+work splits into the same items whatever the lane count, so every result is
+bitwise the same with one lane or two. Every array larger than a small
+transient that a lane writes is allocated by the calling thread and handed
+in, and lanes call only this module's internals and NumPy.
 """
 from __future__ import annotations
 
@@ -595,7 +594,8 @@ def _row_halves(rows: int, inner: int, cols: int) -> list[slice]:
 
     Two halves when each holds more than 2**20 multiply-adds, else the whole:
     OpenBLAS takes another kernel for products of up to about a million
-    multiply-adds, which can round differently from the whole product's.
+    multiply-adds (its small-matrix kernels, on cores such as SkylakeX),
+    which can round differently from the whole product's.
     Above that, each output row is the same bits in a half as in the whole.
     """
     half = rows // 2
@@ -634,8 +634,9 @@ def _bilstm_forward(x, params, name, steps, order, n_lanes):
 def _bilstm_backward(dy, cache, grads, chunks, n_lanes):
     """Gradients of :func:`_bilstm_forward` into ``grads``; returns the input gradient.
 
-    One run of the lanes takes each direction's ``dwx``, a sum of chunk
-    products in chunk order, and the row halves of the input gradient.
+    ``dwx``, a sum of chunk products in chunk order, runs on the calling
+    thread's lane and the input gradient on the other, each as the one
+    product it is with one lane.
     """
     lstm_cache, name, steps, to_packed, x, wx = cache
     h_units = dy.shape[1] // 2
@@ -644,28 +645,22 @@ def _bilstm_backward(dy, cache, grads, chunks, n_lanes):
     dh.reshape(-1, h_units)[to_packed.ravel()] = dy.reshape(-1, h_units)
     dz, dwh = _lstm_backward(dh, lstm_cache, steps)
     dproj = dz.reshape(-1, 4 * h_units)[to_packed].reshape(len(x), -1)
-    dwx = [np.empty((x.shape[1], 4 * h_units), dtype=dy.dtype) for _ in range(2)]
-    products = np.empty((n_lanes, *dwx[0].shape), dtype=dy.dtype)
     dx = np.empty(x.shape, dtype=dy.dtype)
-    parts = _row_halves(len(x), dproj.shape[1], len(wx))
+    dwx = []
 
     def item(i):
-        if i >= 2:
-            rows = parts[i - 2]
-            np.matmul(dproj[rows], wx.T, out=dx[rows])
-            return
-        # a direction's chunk products, summed in chunk order as _chunk_sum does
-        cols = slice(4 * h_units * i, 4 * h_units * (i + 1))
-        np.matmul(x[chunks[0]].T, dproj[chunks[0], cols], out=dwx[i])
-        for r in chunks[1:]:
-            dwx[i] += np.matmul(x[r].T, dproj[r, cols], out=products[i % n_lanes])
+        if i == 0:  # item 0 is the calling thread's, so _chunk_sum allocates there
+            dwx.append(_chunk_sum(chunks, lambda r: x[r].T @ dproj[r]))
+        else:
+            np.matmul(dproj, wx.T, out=dx)
 
-    lanes.run(2 + len(parts), item, n_lanes)
+    lanes.run(2, item, n_lanes)
     db = _chunk_sum(chunks, lambda r: dproj[r].sum(axis=0))
     for d, direction in enumerate(("fwd", "bwd")):
-        grads[f"{name}_{direction}_wx"] = dwx[d]
+        cols = slice(4 * h_units * d, 4 * h_units * (d + 1))
+        grads[f"{name}_{direction}_wx"] = dwx[0][:, cols]
         grads[f"{name}_{direction}_wh"] = dwh[d]
-        grads[f"{name}_{direction}_b"] = db[4 * h_units * d : 4 * h_units * (d + 1)]
+        grads[f"{name}_{direction}_b"] = db[cols]
     return dx
 
 
@@ -754,13 +749,6 @@ def _balanced(widths) -> list[int]:
     return order
 
 
-def _eval_tile(xp, layer: _ConvLayer, bn, dest, j0: int, work) -> None:
-    """One time tile of an eval-mode conv layer: convolution, batch norm and ReLU, into ``dest``."""
-    tile = _conv_tile(xp, layer, dest, j0, work)
-    _bn_forward(tile, *bn, 0, False)
-    np.maximum(tile, 0, out=tile)
-
-
 def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_lanes):
     """Every conv layer of every clip: convolution, batch norm, ReLU and, in train mode, dropout.
 
@@ -768,8 +756,7 @@ def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_
     output into ``outs[k]``, a (C, F, W) view of the packed rows. Each
     layer's output goes straight into the interior of the next layer's
     padded input. The clips are the items of the lanes, each running all of
-    its layers; a lone eval clip instead runs one layer at a time, its time
-    tiles the items. Every array a lane writes is allocated here: in train
+    its layers. Every array a lane writes is allocated here: in train
     mode each clip's padded inputs, convolution outputs (batch norm's
     cache) and keep masks, which the returned caches hold, and per lane the
     lowering, the products, the squared deviations of :func:`_moments` and
@@ -788,17 +775,6 @@ def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_
     def dest(xps, i, out):
         """Where layer i writes: the next layer's input, or the last layer's ``out``."""
         return plan[i + 1].interior(xps[i + 1]) if i + 1 < len(plan) else out
-
-    if not train and len(frames) == 1:
-        xps = [np.empty(layer.padded_shape(width), dtype=dtype) for layer in plan]
-        works = _scratch(n_lanes, dtype, sizes)
-        plan[0].interior(xps[0])[0] = frames[0].T
-        tiles = range(0, width, CONV_TILE)
-        for i, layer in enumerate(plan):
-            layer.zero_border(xps[i])
-            out = dest(xps, i, outs[0])
-            lanes.run(len(tiles), lambda j: _eval_tile(xps[i], layer, bns[i], out, tiles[j], works[j % n_lanes]), n_lanes)
-        return None
 
     if train:
         arrays = [
@@ -835,7 +811,9 @@ def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_
             out = dest(xps, i, outs[k])
             if not train:
                 for j0 in range(0, widths[k], CONV_TILE):
-                    _eval_tile(xps[i], layer, bns[i], out, j0, work)
+                    tile = _conv_tile(xps[i], layer, out, j0, work)
+                    _bn_forward(tile, *bns[i], 0, False)
+                    np.maximum(tile, 0, out=tile)
                 continue
             xp, y, keep = arrays[k][i]
             for j0 in range(0, widths[k], CONV_TILE):

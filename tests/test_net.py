@@ -846,8 +846,23 @@ def test_results_do_not_depend_on_the_lane_count(widths, doubling, monkeypatch):
     assert threads == {"MainThread", "polyscore-lane"}
 
 
+@pytest.mark.parametrize("inner, cols, transposed", [(960, 512, False), (128, 512, False), (128, 64, False), (64, 128, True)])
+def test_row_halves_give_the_bits_of_the_whole_product(inner, cols, transposed):
+    # the input projections, the output layer and its input gradient, at
+    # row counts on both sides of where _row_halves starts to split: the
+    # halves give the bits of one product over all rows
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((cols, inner) if transposed else (inner, cols)).astype(np.float32)
+    b = b.T if transposed else b
+    for rows in [*range(1, 41), *range(255, 261), 700, 1401]:
+        a = rng.standard_normal((rows, inner)).astype(np.float32)
+        out = net._matmul_rows(a, b, np.empty((rows, b.shape[1]), dtype=np.float32), 2)
+        assert out.tobytes() == (a @ b).tobytes(), rows
+
+
 def test_a_long_eval_clip_does_not_depend_on_the_lane_count(monkeypatch):
-    # a lone eval clip runs each conv layer's six time tiles as lane items
+    # a lone eval clip's conv stack is one item; the row halves of its
+    # (700, 960) @ (960, 512) input projection run on both lanes
     config = net.ModelConfig(vocab_size=64)
     params = net.init_params(config, seed=7)
     clip = np.random.default_rng(7).random((700, 240)).astype(np.float32)
