@@ -26,8 +26,9 @@ loss gradient to it.
 
 The network uses the lanes of :mod:`polyscore.lanes`, as many as
 :func:`polyscore.lanes.count` allows (two beside a one-thread OpenBLAS pool
-on two or more CPUs). Their items are each clip's whole conv stack, forward
-and backward, the row halves of the large products (:func:`_row_halves`),
+on two or more CPUs). Their items are in train mode each clip's whole conv
+stack, forward and backward, and in eval mode each conv layer's time tiles
+of every clip; the row halves of the large products (:func:`_row_halves`);
 and in each BiLSTM layer's backward ``dwx`` beside the input gradient. The
 work splits into the same items whatever the lane count, so every result is
 bitwise the same with one lane or two. Every array larger than a small
@@ -749,73 +750,87 @@ def _balanced(widths) -> list[int]:
     return order
 
 
-def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_lanes):
-    """Every conv layer of every clip: convolution, batch norm, ReLU and, in train mode, dropout.
+def _conv_eval(params, plan, frames, outs, n_lanes) -> None:
+    """Every conv layer of every clip in eval mode: convolution, batch norm and ReLU.
+
+    Clip k reads its (W, bins) ``frames[k]`` and writes its last layer's
+    output into ``outs[k]``, a (C, F, W) view of the packed rows. The
+    layers run in turn, and each layer's items are every clip's time tiles
+    of :data:`CONV_TILE` output frames, so a lone long clip runs on both
+    lanes. Each tile goes straight into the interior of the clip's next
+    padded input. The padded inputs are allocated here, and per lane the
+    lowering and the products.
+    """
+    dtype = outs[0].dtype
+    widths = [len(f) for f in frames]
+    works = _scratch(n_lanes, dtype, _tile_work(plan, max(widths)))
+    xps = [[np.empty(layer.padded_shape(w), dtype=dtype) for layer in plan] for w in widths]
+    tiles = [(k, j0) for k, w in enumerate(widths) for j0 in range(0, w, CONV_TILE)]
+    for k, f in enumerate(frames):
+        plan[0].interior(xps[k][0])[0] = f.T
+    for i, layer in enumerate(plan):
+        bn = tuple(params[f"bn{i}_{s}"] for s in ("gamma", "beta", "mean", "var"))
+        for k in range(len(frames)):
+            layer.zero_border(xps[k][i])
+        dests = [plan[i + 1].interior(xps[k][i + 1]) if i + 1 < len(plan) else outs[k] for k in range(len(frames))]
+
+        def tile(item: int) -> None:
+            k, j0 = tiles[item]
+            y = _conv_tile(xps[k][i], layer, dests[k], j0, works[item % n_lanes])
+            _bn_forward(y, *bn, 0, False)
+            np.maximum(y, 0, out=y)
+
+        lanes.run(len(tiles), tile, n_lanes)
+
+
+def _conv_forward(params, plan, frames, outs, rngs, p, scale, moments, n_lanes):
+    """Every conv layer of every clip in train mode: convolution, batch norm, ReLU and dropout.
 
     Clip k reads its (W, bins) ``frames[k]`` and writes its last layer's
     output into ``outs[k]``, a (C, F, W) view of the packed rows. Each
     layer's output goes straight into the interior of the next layer's
     padded input. The clips are the items of the lanes, each running all of
-    its layers. Every array a lane writes is allocated here: in train
-    mode each clip's padded inputs, convolution outputs (batch norm's
-    cache) and keep masks, which the returned caches hold, and per lane the
-    lowering, the products, the squared deviations of :func:`_moments` and
-    the dropout draws; in eval mode per lane the padded inputs as well.
+    its layers. Every array a lane writes is allocated here: each clip's
+    padded inputs, convolution outputs (batch norm's cache) and keep masks,
+    which the returned caches hold, and per lane the lowering, the
+    products, the squared deviations of :func:`_moments` and the dropout
+    draws.
 
-    Train mode returns each clip's ``(padded input, batch norm cache, keep)``
-    per layer and puts batch norm's input moments into ``moments[k]``.
+    Returns each clip's ``(padded input, batch norm cache, keep)`` per layer
+    and puts batch norm's input moments into ``moments[k]``.
     """
     dtype = outs[0].dtype
     widths = [len(f) for f in frames]
     width = max(widths)
     bns = [tuple(params[f"bn{i}_{s}"] for s in ("gamma", "beta", "mean", "var")) for i in range(len(plan))]
     sizes = _tile_work(plan, width)
-    outputs = max(CONV_FILTERS * l.out_bins * width for l in plan)
-
-    def dest(xps, i, out):
-        """Where layer i writes: the next layer's input, or the last layer's ``out``."""
-        return plan[i + 1].interior(xps[i + 1]) if i + 1 < len(plan) else out
-
-    if train:
-        arrays = [
-            [
-                (
-                    np.empty(layer.padded_shape(w), dtype=dtype),
-                    np.empty((CONV_FILTERS, layer.out_bins, w), dtype=dtype),
-                    np.empty((CONV_FILTERS, layer.out_bins, w), dtype=bool),
-                )
-                for layer in plan
-            ]
-            for w in widths
+    arrays = [
+        [
+            (
+                np.empty(layer.padded_shape(w), dtype=dtype),
+                np.empty((CONV_FILTERS, layer.out_bins, w), dtype=dtype),
+                np.empty((CONV_FILTERS, layer.out_bins, w), dtype=bool),
+            )
+            for layer in plan
         ]
-        # the tile products are spent when _moments runs, so their buffer
-        # takes its squared deviations
-        draws = DRAW_CHANNELS * max(l.out_bins for l in plan) * width
-        sizes.update(z=max(sizes["z"], outputs), draws=draws, hits=draws)
-    else:
-        sizes.update({f"xp{i}": math.prod(layer.padded_shape(width)) for i, layer in enumerate(plan)})
-    works = _scratch(n_lanes, dtype, sizes)
+        for w in widths
+    ]
+    # the tile products are spent when _moments runs, so their buffer
+    # takes its squared deviations
+    outputs = max(CONV_FILTERS * l.out_bins * width for l in plan)
+    draws = DRAW_CHANNELS * max(l.out_bins for l in plan) * width
+    works = _scratch(n_lanes, dtype, {**sizes, "z": max(sizes["z"], outputs), "draws": draws, "hits": draws})
     caches = [None] * len(frames)
 
     def clip(item: int) -> None:
         k = order[item]
         work = works[item % n_lanes]
-        if train:
-            xps = [xp for xp, _, _ in arrays[k]]
-        else:
-            xps = [_take(work[f"xp{i}"], layer.padded_shape(widths[k])) for i, layer in enumerate(plan)]
-        plan[0].interior(xps[0])[0] = frames[k].T
+        plan[0].interior(arrays[k][0][0])[0] = frames[k].T
         layer_caches = []
         for i, layer in enumerate(plan):
-            layer.zero_border(xps[i])
-            out = dest(xps, i, outs[k])
-            if not train:
-                for j0 in range(0, widths[k], CONV_TILE):
-                    tile = _conv_tile(xps[i], layer, out, j0, work)
-                    _bn_forward(tile, *bns[i], 0, False)
-                    np.maximum(tile, 0, out=tile)
-                continue
             xp, y, keep = arrays[k][i]
+            layer.zero_border(xp)
+            out = plan[i + 1].interior(arrays[k][i + 1][0]) if i + 1 < len(plan) else outs[k]
             for j0 in range(0, widths[k], CONV_TILE):
                 _conv_tile(xp, layer, y, j0, work)
             moments[k][f"bn{i}"] = _moments(y, work["z"])
@@ -829,7 +844,7 @@ def _conv_forward(params, plan, frames, outs, train, rngs, p, scale, moments, n_
 
     order = _balanced(widths)
     lanes.run(len(frames), clip, n_lanes)
-    return caches if train else None
+    return caches
 
 
 def _conv_backward_clips(dx, plan, caches, scale, grads, n_lanes) -> None:
@@ -957,9 +972,11 @@ def forward(params: dict[str, np.ndarray], config: ModelConfig, specs: list, mod
     f_out = plan[-1].out_bins
     x = np.empty((int(lengths.sum()), f_out * CONV_FILTERS), dtype=dtype)
     outs = [x[rows].reshape(-1, f_out, CONV_FILTERS).transpose(2, 1, 0) for rows in _clip_rows(lengths)]
-    caches = _conv_forward(params, plan, frames, outs, train, rngs, config.dropout_p, scale, bn_moments, n_lanes)
     if train:
+        caches = _conv_forward(params, plan, frames, outs, rngs, config.dropout_p, scale, bn_moments, n_lanes)
         stages.append(("conv", None, (plan, caches, scale, lengths, f_out)))
+    else:
+        _conv_eval(params, plan, frames, outs, n_lanes)
 
     steps = lengths
     if config.frame_doubling:

@@ -861,17 +861,25 @@ def test_row_halves_give_the_bits_of_the_whole_product(inner, cols, transposed):
 
 
 def test_a_long_eval_clip_does_not_depend_on_the_lane_count(monkeypatch):
-    # a lone eval clip's conv stack is one item; the row halves of its
-    # (700, 960) @ (960, 512) input projection run on both lanes
+    # a lone eval clip's conv time tiles, six per layer, and the row halves
+    # of its (700, 960) @ (960, 512) input projection run on both lanes
     config = net.ModelConfig(vocab_size=64)
     params = net.init_params(config, seed=7)
     clip = np.random.default_rng(7).random((700, 240)).astype(np.float32)
     _lane_threads(monkeypatch, 1)
     [one_lane] = net.forward(params, config, [clip], mode="eval")
     threads = _lane_threads(monkeypatch, 2)
+    tile_threads = set()
+    conv_tile = net._conv_tile
+
+    def recorded(*args):
+        tile_threads.add(threading.current_thread().name)
+        return conv_tile(*args)
+
+    monkeypatch.setattr(net, "_conv_tile", recorded)
     [two_lanes] = net.forward(params, config, [clip], mode="eval")
     assert two_lanes.tobytes() == one_lane.tobytes()
-    assert threads == {"MainThread", "polyscore-lane"}
+    assert threads == tile_threads == {"MainThread", "polyscore-lane"}
 
 
 def test_a_helper_lane_that_cannot_start_gives_the_bits_of_one_lane(monkeypatch):
